@@ -142,7 +142,7 @@ def cbs_operator_gap(z, A, tol: float = linalg.PSD_TOL) -> PsdGapResult:
     The assembled difference is symmetrized before eigenvalue analysis:
     the exact gap is self-adjoint, floating point is not quite.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     fam = as_family(A)
     w = as_weights(z, fam.count)
@@ -169,6 +169,6 @@ def cbs_norm_check(z, A) -> tuple[float, float, bool]:
     fam = as_family(A)
     w = as_weights(z, fam.count)
     s = np.einsum("i,iab->ab", w, fam.ops)
-    lhs = linalg.spectral_norm(s).value ** 2
+    lhs = float(linalg.spectral_norms(s[None])[0]) ** 2
     rhs = float((np.abs(w) ** 2).sum()) * fam.sum_products_norm
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)

@@ -158,7 +158,7 @@ def verify_instance(alpha, A, tol: float = 1e-9, *, exponent_grid=None,
     tolerance, and the slack ratio.  The PSD checks use their own
     relative eigenvalue tolerance rather than tol.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     fam = as_family(A)
     w = as_weights(alpha, fam.count)

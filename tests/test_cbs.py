@@ -105,6 +105,16 @@ def test_norm_check_equality_for_identical_phases():
     assert rhs == pytest.approx(5.0 * 5.0, rel=1e-10)     # (4+1) * ||I+4I||
 
 
+def test_norm_check_survives_near_degenerate_top_pair():
+    # S = diag(1, 1 - 1e-9) has a relative gap of 2e-9 in S^* S, beyond
+    # any power-iteration budget; the Jacobi fallback must carry the check
+    fam = OperatorFamily([np.diag([1.0, 0.0]), np.diag([0.0, 1.0 - 1e-9])])
+    lhs, rhs, ok = cbs_norm_check([1.0, 1.0], fam)
+    assert ok
+    assert lhs == pytest.approx(1.0, rel=1e-12)
+    assert rhs == pytest.approx(2.0, rel=1e-12)
+
+
 def test_weighted_sum_matches_manual():
     w, fam = _random_instance(1234, d=3, n=2)
     manual = w[0] * fam.ops[0] + w[1] * fam.ops[1]

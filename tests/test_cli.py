@@ -99,6 +99,8 @@ def test_bad_inputs_exit_2(ops_file, tmp_path, capsys):
     assert main(["bound", "--input", ops_file, "--grid", "zzz"]) == 2
     assert main(["verify", "--kind", "GaussianDense", "--dim", "4", "--count", "3",
                  "--seed", "1", "--tol", "0"]) == 2
+    assert main(["verify", "--kind", "GaussianDense", "--dim", "4", "--count", "3",
+                 "--seed", "1", "--tol", "nan"]) == 2
     # spec route needs the full instance description
     assert main(["verify", "--kind", "GaussianDense", "--dim", "4"]) == 2
     capsys.readouterr()

@@ -88,6 +88,54 @@ def test_spectral_norms_batch_matches_single_calls():
         assert abs(values[i] - expected) <= 1e-10 * max(1.0, expected), i
 
 
+def _rotated(diagonal, seed):
+    q, _ = np.linalg.qr(PortableRng(seed).complex_normal((len(diagonal), len(diagonal))))
+    return (q * np.asarray(diagonal)) @ q.conj().T
+
+
+def test_spectral_norm_small_gap_converges_in_few_steps():
+    # relative gap 2e-3 in M^* M: plain power iteration needs more than
+    # 10^4 steps here, the squared matrix a few dozen
+    m = _rotated([1.0, 1.0 - 1e-3, 0.5], 8080)
+    r = linalg.spectral_norm(m)
+    expected = float(np.linalg.svd(m, compute_uv=False)[0])
+    assert abs(r.value - expected) <= 1e-10 * expected
+    assert r.iterations <= 200
+
+
+def test_spectral_norms_heavy_tail_batch_matches_svd():
+    rng = PortableRng(4040)
+    stack = rng.complex_normal((10, 3, 3))
+    stack[1] = 0.0
+    stack[1][:2, :2] = [[1.5, -0.5], [-0.5, 1.5]]                 # orthogonal start
+    stack[3] = 0.0
+    stack[3][:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]                 # kernel start
+    stack[4] = 0.0                                               # zero slice
+    stack[6] = _rotated([1.0, 1.0 - 1e-3, 0.5], 11)
+    stack[7] = _rotated([2.0, 2.0 - 1e-6, 1e-3], 12)
+    stack[8] = np.diag([1.0, 1.0 - 1e-9, 0.25])                  # Jacobi fallback
+    stack[9] = _rotated([3.0, 3.0, 1.0], 13)                     # exact tie
+    values = linalg.spectral_norms(stack)
+    for i in range(10):
+        expected = float(np.linalg.svd(stack[i], compute_uv=False)[0])
+        assert abs(values[i] - expected) <= 1e-10 * max(1.0, expected), i
+
+
+@pytest.mark.parametrize("k", [-150, -80, -60, 0, 60, 80, 120, 150])
+def test_norm_routes_are_scale_safe(k):
+    rng = PortableRng(6060)
+    stack = rng.complex_normal((4, 5, 3)) * 10.0**k
+    got = linalg.spectral_norms(stack)
+    for i in range(4):
+        expected = np.linalg.norm(stack[i], 2)
+        assert abs(got[i] - expected) <= 1e-10 * expected, i
+    a = rng.complex_normal((5, 5))
+    h = (a + a.conj().T) * 10.0**k
+    ref = np.linalg.eigvalsh(h)
+    eigs = linalg.hermitian_eigenvalues(h)
+    assert np.abs(eigs - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_spectral_norms_rejects_bad_shapes():
     with pytest.raises(DimensionMismatch):
         linalg.spectral_norms(np.zeros((3, 3)))
