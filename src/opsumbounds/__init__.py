@@ -63,13 +63,7 @@ from .harness import (
 )
 from .linalg import (
     SpectralNormResult,
-    adjoint,
-    gram,
-    hermitian_eigen_min,
     hermitian_eigenvalues,
-    hermitian_eigh,
-    is_psd,
-    psd_sqrt,
     spectral_norm,
     spectral_norms,
 )
@@ -119,7 +113,6 @@ __all__ = [
     "VerificationResult",
     "ZeroVector",
     "PortableRng",
-    "adjoint",
     "as_family",
     "as_vector_family",
     "as_weights",
@@ -140,20 +133,15 @@ __all__ = [
     "emit_problem",
     "format_float",
     "generate",
-    "gram",
     "gram_catalog_reports",
     "gram_master_bound",
-    "hermitian_eigen_min",
     "hermitian_eigenvalues",
-    "hermitian_eigh",
-    "is_psd",
     "lhs_norm_sq",
     "load_problem",
     "loads_problem",
     "master_bound",
     "offdiag_term",
     "particular_bounds",
-    "psd_sqrt",
     "rank_one_family",
     "slack_sweep",
     "spectral_norm",

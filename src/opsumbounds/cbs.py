@@ -129,8 +129,7 @@ class PsdGapResult:
     inner_norm: float
 
 
-def _psd_verdict(h: np.ndarray, tol: float) -> tuple[float, float, bool]:
-    eigs = linalg.hermitian_eigenvalues(h)
+def _psd_verdict(eigs: np.ndarray, tol: float) -> tuple[float, float, bool]:
     lo = float(eigs[0])
     norm = max(abs(lo), abs(float(eigs[-1])))
     return lo, norm, lo >= -tol * max(1.0, norm)
@@ -140,7 +139,8 @@ def cbs_operator_gap(z, A, tol: float = linalg.PSD_TOL) -> PsdGapResult:
     """The PSD gap (sum |z_i|^2)(sum A_i A_i^*) - S S^* with S = sum z_i A_i.
 
     The assembled difference is symmetrized before eigenvalue analysis:
-    the exact gap is self-adjoint, floating point is not quite.
+    the exact gap is self-adjoint, floating point is not quite.  The gap
+    and the symmetrized S S^* go to the eigensolver as one stack.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -150,8 +150,9 @@ def cbs_operator_gap(z, A, tol: float = linalg.PSD_TOL) -> PsdGapResult:
     inner = s @ s.conj().T
     raw = float((np.abs(w) ** 2).sum()) * fam.sum_products - inner
     gap = 0.5 * (raw + raw.conj().T)
-    min_eig, gap_norm, holds = _psd_verdict(gap, tol)
-    inner_min, inner_norm, inner_holds = _psd_verdict(0.5 * (inner + inner.conj().T), tol)
+    eigs = linalg.hermitian_eigenvalues(np.stack([gap, 0.5 * (inner + inner.conj().T)]))
+    min_eig, gap_norm, holds = _psd_verdict(eigs[0], tol)
+    inner_min, inner_norm, inner_holds = _psd_verdict(eigs[1], tol)
     return PsdGapResult(
         gap=gap,
         min_eigenvalue=min_eig,

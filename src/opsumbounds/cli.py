@@ -96,15 +96,9 @@ def _write_text(text: str, path) -> None:
             fh.write(text)
 
 
-def _load_weighted_family(args):
-    """Shared by bound/verify: problem file -> (weights, label, family or gram data)."""
+def _cmd_bound(args) -> int:
     pf = problemio.load_problem(args.input)
     _check_mode(pf, args.mode)
-    return pf
-
-
-def _cmd_bound(args) -> int:
-    pf = _load_weighted_family(args)
     grid = _parse_grid(args.grid)
     if pf.mode == "operators":
         weights = pf.weights
@@ -167,7 +161,8 @@ def _verify_text(origin: str, result) -> str:
 def _cmd_verify(args) -> int:
     grid = _parse_grid(args.grid)
     if args.input is not None:
-        pf = _load_weighted_family(args)
+        pf = problemio.load_problem(args.input)
+        _check_mode(pf, args.mode)
         if pf.mode == "operators":
             weights = pf.weights
             family = OperatorFamily(pf.operators)

@@ -1,9 +1,10 @@
 """Dense complex linear algebra with explicit, checkable iterations.
 
 Everything downstream consumes this module: spectral norms via power
-iteration, Hermitian eigenvalues via cyclic Jacobi sweeps, PSD tests on
-top of those.  The two eigenvalue routes are kept side by side on
-purpose so each can serve as an independent oracle for the other.
+iteration, and Hermitian eigenvalues via Jacobi sweeps in round-robin
+order, which rotate every slice of a stack at once.  The two eigenvalue
+routes are kept side by side on purpose so each can serve as an
+independent oracle for the other.
 """
 
 from __future__ import annotations
@@ -30,47 +31,6 @@ def as_matrix(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def _square(m) -> np.ndarray:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T.copy()
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def gram(vectors) -> np.ndarray:
-    """Pairwise inner products (y_i, y_j) of a family of d-vectors.
-
-    The inner product is linear in the first slot and conjugate-linear
-    in the second, so G = Y Y^H row-wise.  The result is Hermitian PSD.
-    """
-    rows = [np.asarray(v, dtype=np.complex128) for v in vectors]
-    if not rows:
-        raise DimensionMismatch("empty vector family")
-    d = rows[0].shape
-    if len(d) != 1:
-        raise DimensionMismatch(f"expected 1-d vectors, got shape {d}")
-    for v in rows[1:]:
-        if v.shape != d:
-            raise DimensionMismatch(f"mixed vector dimensions {d} and {v.shape}")
-    y = np.stack(rows)
-    if not np.isfinite(y).all():
-        raise ValueError("vector entries must be finite")
-    return y @ y.conj().T
 
 
 @dataclass(frozen=True)
@@ -200,6 +160,13 @@ def _power_stack(bs: np.ndarray, tol: float, max_iter: int):
     return lam, iters, resid, done
 
 
+def _check_iteration_args(tol: float, max_iter: int) -> None:
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def spectral_norm(m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SpectralNormResult:
     """Largest singular value of M, via power iteration on M^H M.
 
@@ -210,10 +177,7 @@ def spectral_norm(m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER)
     still above tol after max_iter steps.
     """
     a = as_matrix(m)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_iteration_args(tol, max_iter)
     scaled, exps = _pow2_scale(a[None])
     lam, iters, resid, done = _power_stack(_hermitian_products(scaled), tol, max_iter)
     value = math.ldexp(math.sqrt(max(float(lam[0]), 0.0)), int(exps[0]))
@@ -229,162 +193,133 @@ def spectral_norm(m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER)
 def spectral_norms(ms, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
     """Spectral norms of a stack of same-shape matrices.
 
-    Power iteration first; a slice whose spectral gap is too small to
-    converge in max_iter steps falls back to the Jacobi eigenvalue
-    route, which is slower but gap-independent.
+    Power iteration first; the slices whose spectral gap is too small
+    to converge in max_iter steps fall back together to the Jacobi
+    eigenvalue route, which is slower but gap-independent.
     """
     stack = np.asarray(ms, dtype=np.complex128)
     if stack.ndim != 3:
         raise DimensionMismatch(f"expected a stack of matrices, got shape {stack.shape}")
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
+    _check_iteration_args(tol, max_iter)
     scaled, exps = _pow2_scale(stack)
     bs = _hermitian_products(scaled)
     lam, _, _, done = _power_stack(bs, tol, max_iter)
-    for i in np.flatnonzero(~done):
-        lam[i] = _jacobi_eigenvalues(bs[i].copy(), DEFAULT_TOL)[-1]
+    if not done.all():
+        lam[~done] = _jacobi_stack(bs[~done], DEFAULT_TOL)[:, -1]
     return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), exps)
 
 
-def _jacobi_core(w: np.ndarray, tol: float, max_sweeps: int, accumulate: bool):
-    """Diagonalize a Hermitian matrix by cyclic Jacobi sweeps.
+def _rotation_slots(n: int) -> np.ndarray:
+    """Flat positions, in an n x n matrix, of the two nonzero entries of
+    each row of one round's rotation (own coefficient, then partner's).
 
-    Mutates w.  Each pivot (p, q) is reduced to a real 2x2 problem by
-    factoring out the phase of w[p, q], then annihilated with the
-    classical symmetric rotation.  Converged when the off-diagonal
-    Frobenius mass drops below tol times the Frobenius norm.  When
-    accumulate is set, the product of all rotations is collected so
-    that w_original = Q diag Q^H.
+    Slot j pairs with slot n-1-j.  After the round the indices in slots
+    1..n-1 move one slot on (n-1 wraps to 1) and slot 0 stays, which is
+    the round-robin ordering: over n-1 rounds every pair meets once.
+    The move is folded into the rotation: the row that rotates slot j
+    sits at the slot that j's index moves to.
     """
-    d = w.shape[0]
-    vecs = np.eye(d, dtype=np.complex128) if accumulate else None
-    if d == 1:
-        return np.array([w[0, 0].real]), vecs
-    scale = math.sqrt(float((np.abs(w) ** 2).sum()))
-    if scale == 0.0:
-        return np.zeros(d), vecs
-    target = tol * scale
-    skip = target / (4.0 * d * d)
+    j = np.arange(n)
+    pos = np.concatenate([[0], j[2:], [1]]) if n > 1 else j
+    return np.concatenate([pos * n + j, pos * n + (n - 1 - j)])
 
+
+def _jacobi_stack(ws: np.ndarray, tol: float, max_sweeps: int = 100) -> np.ndarray:
+    """Eigenvalues (ascending, one row per slice) of a stack of Hermitian
+    matrices, by Jacobi sweeps in round-robin order (Brent & Luk, 1985).
+
+    A matrix of odd size d is bordered by a zero row and column in slot
+    0, which pairs only with zero pivots and so is never rotated.  Each
+    sweep has n-1 rounds of n/2 disjoint pivots (s, n-1-s), applied to
+    every slice at once as one product R W R^H, where R holds the
+    rotations and the move to the next round's pairing.  A pivot h is
+    reduced to a real 2x2 problem through its phase and annihilated by
+    the classical rotation, up to rounding; pivots with
+    |h| <= tol ||W||_F / (4 d^2) are skipped.  The diagonal is read as
+    its real part.  A slice is done, and leaves the active set, when the
+    Frobenius mass of its off-diagonal part is at most tol ||W||_F,
+    tested before each sweep.  Raises NoConvergence after max_sweeps.
+    """
+    m, d, _ = ws.shape
+    pad = d % 2
+    n = d + pad
+    k = n // 2
+    w = np.zeros((m, n, n), dtype=np.complex128)
+    w[:, pad:, pad:] = ws
+    target = tol * np.sqrt((w.real**2 + w.imag**2).sum(axis=(1, 2)))
+    skip = target[:, None] / (4.0 * d * d)
+    off = ~np.eye(n, dtype=bool)
+    slots = _rotation_slots(n)
+    out = np.zeros((m, n))
+    idx = np.arange(m)
+    rot = np.zeros((m, n * n), dtype=np.complex128)
     for sweep in range(max_sweeps + 1):
         # summed directly off the off-diagonal entries: subtracting the
         # diagonal mass from the total would cancel catastrophically and
         # bottom out near eps * ||w||^2, far above target^2
-        od = w.copy()
-        np.fill_diagonal(od, 0.0)
-        off_sq = float((np.abs(od) ** 2).sum())
-        if off_sq <= target * target:
-            break
+        off_sq = ((w.real**2 + w.imag**2) * off).sum(axis=(1, 2))
+        finished = off_sq <= target * target
+        if finished.any():
+            out[idx[finished]] = w[finished].diagonal(axis1=1, axis2=2).real
+            keep = ~finished
+            if not keep.any():
+                break
+            idx, w, target, skip, rot = idx[keep], w[keep], target[keep], skip[keep], rot[keep]
         if sweep == max_sweeps:
             raise NoConvergence("jacobi sweep limit reached")
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                h = w[p, q]
-                ah = abs(h)
-                if ah <= skip:
-                    continue
-                phase = h / ah
-                tau = (w[q, q].real - w[p, p].real) / (2.0 * ah)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                pc = phase.conjugate()
-                colp = w[:, p].copy()
-                colq = w[:, q].copy()
-                w[:, p] = c * colp - s * pc * colq
-                w[:, q] = s * colp + c * pc * colq
-                rowp = w[p, :].copy()
-                rowq = w[q, :].copy()
-                w[p, :] = c * rowp - s * phase * rowq
-                w[q, :] = s * rowp + c * phase * rowq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                w[p, p] = w[p, p].real
-                w[q, q] = w[q, q].real
-                if accumulate:
-                    vp = vecs[:, p].copy()
-                    vq = vecs[:, q].copy()
-                    vecs[:, p] = c * vp - s * pc * vq
-                    vecs[:, q] = s * vp + c * pc * vq
-    return w.diagonal().real.copy(), vecs
+        r = rot.reshape(-1, n, n)
+        for _ in range(n - 1):
+            dg = w.diagonal(axis1=1, axis2=2).real
+            h = w[:, :, ::-1].diagonal(axis1=1, axis2=2)[:, :k]
+            ah = np.abs(h)
+            live = ah > skip
+            h = h * live
+            ah = ah * live
+            # t = sign(tau) / (|tau| + sqrt(1 + tau^2)), tau = (w_qq - w_pp) / (2 |h|);
+            # multiplying top and bottom by 2 |h| gives t = g |h|, which cannot
+            # overflow for small |h|.  The floor keeps a skipped pivot between
+            # equal diagonal entries at t = 0 instead of 0/0.
+            diff = dg[:, : k - 1 : -1] - dg[:, :k]
+            g = np.copysign(2.0, diff) / np.maximum(np.abs(diff) + np.hypot(diff, 2.0 * ah), _TINY)
+            c = 1.0 / np.sqrt(1.0 + (g * ah) ** 2)
+            sp = c * g * h
+            rot[:, slots] = np.concatenate([c, c[:, ::-1], -sp, sp.conj()[:, ::-1]], axis=1)
+            w = r @ w @ r.conj().transpose(0, 2, 1)
+    return np.sort(out[:, pad:], axis=1)
 
 
-def _jacobi_eigenvalues(w: np.ndarray, tol: float, max_sweeps: int = 100) -> np.ndarray:
-    values, _ = _jacobi_core(w, tol, max_sweeps, accumulate=False)
-    return np.sort(values)
-
-
-def _require_hermitian(a: np.ndarray, tol: float) -> None:
-    asym = float(np.abs(a - a.conj().T).max())
-    scale = float(np.abs(a).max())
-    if asym > tol * scale:
+def _require_hermitian(stack: np.ndarray, tol: float) -> None:
+    asym = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    scale = np.abs(stack).max(axis=(1, 2))
+    bad = np.flatnonzero(asym > tol * scale)
+    if bad.size:
+        i = bad[0]
         raise NotHermitian(
-            f"matrix deviates from its adjoint by {asym:.3e} (largest entry {scale:.3e})"
+            f"matrix deviates from its adjoint by {asym[i]:.3e} (largest entry {scale[i]:.3e})"
         )
 
 
 def hermitian_eigenvalues(h, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """All eigenvalues of (H + H^H)/2, ascending, by cyclic Jacobi.
+    """All eigenvalues of (H + H^H)/2, ascending, by round-robin Jacobi.
 
-    H is divided by a power of two near its largest entry first, so that
-    entries of any representable size give eigenvalues to full relative
-    accuracy.
+    H is a square matrix, or a stack of them solved together, which
+    gives one row of eigenvalues per slice.  Each slice is divided by a
+    power of two near its largest entry first, so that entries of any
+    representable size give eigenvalues to full relative accuracy.
     """
-    scaled, exps = _pow2_scale(_square(h)[None])
-    a = scaled[0]
-    _require_hermitian(a, tol)
-    w = 0.5 * (a + a.conj().T)
-    return np.ldexp(_jacobi_eigenvalues(w, DEFAULT_TOL), exps[0])
+    a = np.asarray(h, dtype=np.complex128)
+    stack = a[None] if a.ndim == 2 else a
+    if stack.ndim != 3 or 0 in stack.shape or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    scaled, exps = _pow2_scale(stack)
+    _require_hermitian(scaled, tol)
+    w = 0.5 * (scaled + scaled.conj().transpose(0, 2, 1))
+    eigs = np.ldexp(_jacobi_stack(w, DEFAULT_TOL), exps[:, None])
+    return eigs[0] if a.ndim == 2 else eigs
 
 
-def hermitian_eigh(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of the symmetrized matrix.
 
-    Columns of the second result are the eigenvectors, in eigenvalue
-    order, so that H = V diag(values) V^H.
-    """
-    a = _square(h)
-    _require_hermitian(a, tol)
-    w = 0.5 * (a + a.conj().T)
-    values, vecs = _jacobi_core(w, DEFAULT_TOL, 100, accumulate=True)
-    order = np.argsort(values, kind="stable")
-    return values[order], vecs[:, order]
-
-
-def psd_sqrt(h, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian square root of a PSD matrix, negative dust clamped to 0."""
-    values, vecs = hermitian_eigh(h, tol)
-    roots = np.sqrt(np.clip(values, 0.0, None))
-    r = (vecs * roots) @ vecs.conj().T
-    return 0.5 * (r + r.conj().T)
-
-
-def hermitian_eigen_min(h, tol: float = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue of the symmetrized matrix.
-
-    The symmetry pre-check allows entrywise deviation up to tol relative
-    to the largest entry; the decomposition itself always runs at the
-    tight default tolerance so the returned eigenvalue is not degraded
-    by a loose pre-check.
-    """
-    a = _square(h)
-    _require_hermitian(a, tol)
-    w = 0.5 * (a + a.conj().T)
-    return float(_jacobi_eigenvalues(w, DEFAULT_TOL)[0])
-
-
-def is_psd(h, tol: float = PSD_TOL) -> bool:
-    """Whether the symmetrized matrix is PSD up to a relative tolerance.
-
-    True iff the smallest eigenvalue is at least -tol * max(1, ||H||),
-    with ||H|| read off the same eigenvalue list.
-    """
-    a = _square(h)
-    _require_hermitian(a, tol)
-    w = 0.5 * (a + a.conj().T)
-    eigs = _jacobi_eigenvalues(w, DEFAULT_TOL)
-    norm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
-    return float(eigs[0]) >= -tol * max(1.0, norm)

@@ -3,15 +3,17 @@
 For nonzero vectors y_1..y_n, the operators A_i = y_i y_i^H / ||y_i||
 satisfy ||A_i|| = ||y_i|| and ||A_i A_j^H|| = |(y_i, y_j)|, so the whole
 bound catalog collapses to arithmetic over the Gram matrix.  The
-production path here never materializes a d x d matrix; the matrix path
-exists to cross-validate it.
+production path here never materializes the operators or their sum;
+the matrix path exists to cross-validate it.
 
-The Gram-only left side uses the usual rank reduction: with Z the d x n
-matrix of columns y_i and D = diag(alpha_i / ||y_i||), the weighted sum
-is S = Z D Z^H, and S^H S = Z (D^H Gbar D) Z^H shares its nonzero
-spectrum with (D^H Gbar D) Gbar where Gbar is the conjugated Gram
-matrix.  Symmetrizing with Gbar^(1/2) turns that into an n x n
-Hermitian eigenvalue problem.
+The left side uses the usual rank reduction: with Z the d x n matrix of
+columns y_i and D = diag(alpha_i / ||y_i||), the weighted sum is
+S = Z D Z^H.  The thin QR factorization Z = QR, with orthonormal columns
+in Q, gives S = Q (R D R^H) Q^H, so ||S|| = ||R D R^H||, a norm problem
+of size min(d, n).  It holds for any F with F^H F = Gbar, the conjugated
+Gram matrix; R is such an F taken from the vectors themselves, so no
+entry is ever squared and vectors of any representable size give the
+left side to full relative accuracy.
 """
 
 from __future__ import annotations
@@ -74,18 +76,16 @@ class VectorFamily:
         return self.vectors @ self.vectors.conj().T
 
     @cached_property
-    def _gram_conj_sqrt(self) -> np.ndarray:
-        return linalg.psd_sqrt(self.gram.conj())
+    def _r_factor(self) -> np.ndarray:
+        return np.linalg.qr(self.vectors.T, mode="r")
 
     def weighted_sum_norm_sq(self, alpha) -> float:
-        """||sum alpha_i A_i||^2 from Gram data alone, O(n^3) after caching."""
+        """||sum alpha_i A_i||^2 as ||R D R^H||^2, with R the cached R
+        factor of the vectors (at most min(d, n) rows) and
+        D = diag(alpha_i / ||y_i||)."""
         w = as_weights(alpha, self.count)
-        d = w / self.norms
-        gbar = self.gram.conj()
-        p = d.conj()[:, None] * gbar * d[None, :]
-        r = self._gram_conj_sqrt
-        h = r @ p @ r
-        return float(linalg.spectral_norms(h[None])[0])
+        r = self._r_factor
+        return float(linalg.spectral_norms(((r * (w / self.norms)) @ r.conj().T)[None])[0]) ** 2
 
 
 def as_vector_family(Y) -> VectorFamily:

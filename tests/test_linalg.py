@@ -143,6 +143,16 @@ def test_spectral_norms_rejects_bad_shapes():
         linalg.spectral_norms(np.array([[[np.inf, 0], [0, 0]]]))
 
 
+@pytest.mark.parametrize("kwargs", [{"tol": float("nan")}, {"tol": 0.0}, {"tol": -1e-12},
+                                    {"max_iter": 0}, {"max_iter": -3}])
+def test_spectral_norms_rejects_bad_iteration_args(kwargs):
+    stack = PortableRng(17).complex_normal((2, 3, 3))
+    with pytest.raises(ValueError):
+        linalg.spectral_norms(stack, **kwargs)
+    with pytest.raises(ValueError):
+        linalg.spectral_norm(stack[0], **kwargs)
+
+
 def test_hermitian_eigenvalues_frozen():
     m = PortableRng(99).complex_normal((4, 4))
     h = (m + m.conj().T) / 2
@@ -177,52 +187,62 @@ def test_not_hermitian_rejected():
         linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_hermitian_eigh_reconstructs():
-    rng = PortableRng(424242)
-    for trial in range(10):
-        d = 2 + trial % 6
-        a = rng.complex_normal((d, d))
-        h = (a + a.conj().T) / 2
-        values, vectors = linalg.hermitian_eigh(h)
-        assert np.all(np.diff(values) >= 0)
-        rebuilt = (vectors * values) @ vectors.conj().T
-        assert np.abs(rebuilt - h).max() <= 1e-9 * max(1.0, np.abs(h).max())
-        ortho = vectors.conj().T @ vectors
-        assert np.abs(ortho - np.eye(d)).max() <= 1e-9
+def _assert_slices_match_eigvalsh(stack, got):
+    assert got.shape == stack.shape[:2]
+    for i, h in enumerate(stack):
+        ref = np.linalg.eigvalsh(h)
+        scale = max(float(np.abs(h).max()), np.finfo(float).tiny)
+        assert np.abs(got[i] - ref).max() <= 1e-10 * scale, i
 
 
-def test_psd_sqrt_squares_back():
-    rng = PortableRng(515)
-    for trial in range(10):
-        d = 2 + trial % 5
-        a = rng.complex_normal((d, d))
-        h = a.conj().T @ a
-        r = linalg.psd_sqrt(h)
-        assert np.abs(r - r.conj().T).max() <= 1e-12 * max(1.0, np.abs(r).max())
-        assert np.abs(r @ r - h).max() <= 1e-9 * max(1.0, np.abs(h).max())
+def test_jacobi_stack_mixed_slices():
+    rng = PortableRng(9191)
+    stack = np.zeros((5, 6, 6), dtype=complex)
+    stack[1] = np.diag([3.0, -1.0, 0.5, 0.0, 2.0, -4.0])            # already diagonal
+    stack[2] = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    stack[2][1, 4] = 0.3 - 0.2j                                      # one pivot: one sweep
+    stack[2][4, 1] = 0.3 + 0.2j
+    stack[3] = _rotated([2.0, 2.0 - 1e-9, 1.0, 0.5, -0.5, -1.0], 21)  # near-degenerate pair
+    a = rng.complex_normal((6, 6))
+    stack[4] = a + a.conj().T                                        # dense: several sweeps
+    got = linalg.hermitian_eigenvalues(stack)
+    _assert_slices_match_eigvalsh(stack, got)
+    assert np.all(got[0] == 0.0)
+    assert np.array_equal(got[1], np.sort(stack[1].diagonal().real))
+    # the slices leave the active set after different sweep counts
+    linalg._jacobi_stack(stack[:3], linalg.DEFAULT_TOL, max_sweeps=1)
+    with pytest.raises(NoConvergence):
+        linalg._jacobi_stack(stack[4:], linalg.DEFAULT_TOL, max_sweeps=1)
 
 
-def test_is_psd_boundary():
-    assert linalg.is_psd(np.diag([1.0, 0.0]))
-    assert linalg.is_psd(np.diag([1.0, -1e-9]))      # inside the default 1e-8 band
-    assert not linalg.is_psd(np.diag([1.0, -1e-7]))
-    assert not linalg.is_psd(np.diag([1.0, -1.0]))
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 15, 16])
+def test_jacobi_stack_odd_and_even_sizes(d):
+    a = PortableRng(3300 + d).complex_normal((4, d, d))
+    stack = a + a.conj().transpose(0, 2, 1)
+    _assert_slices_match_eigvalsh(stack, linalg.hermitian_eigenvalues(stack))
+    single = linalg.hermitian_eigenvalues(stack[2])
+    assert single.shape == (d,)
+    assert np.abs(single - np.linalg.eigvalsh(stack[2])).max() <= 1e-10 * np.abs(stack[2]).max()
 
 
-def test_hermitian_eigen_min_hand_value():
-    h = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert linalg.hermitian_eigen_min(h) == pytest.approx(1.0, rel=1e-10)
+def test_hermitian_eigenvalues_rejects_bad_stacks():
+    with pytest.raises(DimensionMismatch):
+        linalg.hermitian_eigenvalues(np.zeros((2, 3, 4)))
+    with pytest.raises(DimensionMismatch):
+        linalg.hermitian_eigenvalues(np.zeros(3))
+    with pytest.raises(NotHermitian):
+        linalg.hermitian_eigenvalues(np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
 
 
-def test_gram_is_conjugate_linear_in_second_slot():
-    g = linalg.gram([np.array([1.0, 0.0]), np.array([1j, 0.0])])
-    assert g[0, 1] == pytest.approx(-1j)
-    assert g[1, 0] == pytest.approx(1j)
-    assert g[0, 0] == pytest.approx(1.0)
-
-
-def test_adjoint_and_matmul():
-    a = np.array([[1.0 + 2j, 3.0], [0.0, 4j]])
-    assert np.array_equal(linalg.adjoint(a), a.conj().T)
-    b = np.array([[2.0, 0.0], [1.0, 1j]])
-    assert np.allclose(linalg.matmul(a, b), a @ b)
+def test_spectral_norms_batches_two_jacobi_fallbacks():
+    near = [1.0, 1.0 - 1e-9, 0.25]
+    stack = PortableRng(5252).complex_normal((4, 3, 3))
+    stack[1] = np.diag(near)
+    stack[3] = _rotated(near, 53)
+    for i in (1, 3):
+        with pytest.raises(NoConvergence):
+            linalg.spectral_norm(stack[i])
+    values = linalg.spectral_norms(stack)
+    for i in range(4):
+        expected = float(np.linalg.svd(stack[i], compute_uv=False)[0])
+        assert abs(values[i] - expected) <= 1e-10 * expected, i

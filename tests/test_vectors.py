@@ -164,3 +164,28 @@ def test_orthogonal_entries_for_orthogonal_vectors():
     vf = VectorFamily([np.array([2.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.5])])
     reps = gram_catalog_reports([1.0, 1.0], vf, 1.0)
     assert sum(r.name.startswith("orthogonal:") for r in reps) == 7
+
+
+def _materialized_norm_sq(w, y):
+    # S = sum alpha_i ||y_i|| u_i u_i^H with unit u_i, so no entry leaves
+    # the scale of the vectors on the way to numpy's norm
+    norms = np.linalg.norm(y, axis=1)
+    u = y / norms[:, None]
+    s = np.einsum("i,ia,ib->ab", np.asarray(w) * norms, u, u.conj())
+    return float(np.linalg.norm(s, 2)) ** 2
+
+
+@pytest.mark.parametrize("k", [-150, -120, -80, 0, 80, 150])
+def test_gram_lhs_is_scale_safe(k):
+    base = PortableRng(3).complex_normal((4, 6))
+    wide = PortableRng(5).complex_normal((7, 3))                      # n > d
+    dependent = np.concatenate([base[:2], base[:2].sum(axis=0, keepdims=True) * (0.5 - 2j),
+                                3.0 * base[:1]])                       # rank 2
+    families = [(PortableRng(4).complex_normal(4), base),
+                (PortableRng(6).complex_normal(7), wide),
+                (PortableRng(7).complex_normal(4), dependent)]
+    for w, y in families:
+        y = y * 10.0**k
+        expected = _materialized_norm_sq(w, y)
+        got = VectorFamily(y).weighted_sum_norm_sq(w)
+        assert abs(got - expected) <= 1e-10 * expected, y.shape
