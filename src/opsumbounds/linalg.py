@@ -211,21 +211,6 @@ def spectral_norms(ms, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITE
     return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), exps)
 
 
-def _rotation_slots(n: int) -> np.ndarray:
-    """Flat positions, in an n x n matrix, of the two nonzero entries of
-    each row of one round's rotation (own coefficient, then partner's).
-
-    Slot j pairs with slot n-1-j.  After the round the indices in slots
-    1..n-1 move one slot on (n-1 wraps to 1) and slot 0 stays, which is
-    the round-robin ordering: over n-1 rounds every pair meets once.
-    The move is folded into the rotation: the row that rotates slot j
-    sits at the slot that j's index moves to.
-    """
-    j = np.arange(n)
-    pos = np.concatenate([[0], j[2:], [1]]) if n > 1 else j
-    return np.concatenate([pos * n + j, pos * n + (n - 1 - j)])
-
-
 def _jacobi_stack(ws: np.ndarray, tol: float, max_sweeps: int = 100) -> np.ndarray:
     """Eigenvalues (ascending, one row per slice) of a stack of Hermitian
     matrices, by Jacobi sweeps in round-robin order (Brent & Luk, 1985).
@@ -233,10 +218,13 @@ def _jacobi_stack(ws: np.ndarray, tol: float, max_sweeps: int = 100) -> np.ndarr
     A matrix of odd size d is bordered by a zero row and column in slot
     0, which pairs only with zero pivots and so is never rotated.  Each
     sweep has n-1 rounds of n/2 disjoint pivots (s, n-1-s), applied to
-    every slice at once as one product R W R^H, where R holds the
-    rotations and the move to the next round's pairing.  A pivot h is
-    reduced to a real 2x2 problem through its phase and annihilated by
-    the classical rotation, up to rounding; pivots with
+    every slice at once: column s is updated from columns s and n-1-s,
+    which the reversed view W[:, ::-1] lines up, and then the rows the
+    same way, so a round costs O(n^2) per slice.  After the round the
+    indices in slots 1..n-1 move one slot on (n-1 wraps to 1) and slot 0
+    stays; over n-1 rounds every pair meets once.  A pivot h is reduced
+    to a real 2x2 problem through its phase and annihilated by the
+    classical rotation, up to rounding; pivots with
     |h| <= tol ||W||_F / (4 d^2) are skipped.  The diagonal is read as
     its real part.  A slice is done, and leaves the active set, when the
     Frobenius mass of its off-diagonal part is at most tol ||W||_F,
@@ -251,10 +239,8 @@ def _jacobi_stack(ws: np.ndarray, tol: float, max_sweeps: int = 100) -> np.ndarr
     target = tol * np.sqrt((w.real**2 + w.imag**2).sum(axis=(1, 2)))
     skip = target[:, None] / (4.0 * d * d)
     off = ~np.eye(n, dtype=bool)
-    slots = _rotation_slots(n)
     out = np.zeros((m, n))
     idx = np.arange(m)
-    rot = np.zeros((m, n * n), dtype=np.complex128)
     for sweep in range(max_sweeps + 1):
         # summed directly off the off-diagonal entries: subtracting the
         # diagonal mass from the total would cancel catastrophically and
@@ -266,10 +252,9 @@ def _jacobi_stack(ws: np.ndarray, tol: float, max_sweeps: int = 100) -> np.ndarr
             keep = ~finished
             if not keep.any():
                 break
-            idx, w, target, skip, rot = idx[keep], w[keep], target[keep], skip[keep], rot[keep]
+            idx, w, target, skip = idx[keep], w[keep], target[keep], skip[keep]
         if sweep == max_sweeps:
             raise NoConvergence("jacobi sweep limit reached")
-        r = rot.reshape(-1, n, n)
         for _ in range(n - 1):
             dg = w.diagonal(axis1=1, axis2=2).real
             h = w[:, :, ::-1].diagonal(axis1=1, axis2=2)[:, :k]
@@ -285,8 +270,15 @@ def _jacobi_stack(ws: np.ndarray, tol: float, max_sweeps: int = 100) -> np.ndarr
             g = np.copysign(2.0, diff) / np.maximum(np.abs(diff) + np.hypot(diff, 2.0 * ah), _TINY)
             c = 1.0 / np.sqrt(1.0 + (g * ah) ** 2)
             sp = c * g * h
-            rot[:, slots] = np.concatenate([c, c[:, ::-1], -sp, sp.conj()[:, ::-1]], axis=1)
-            w = r @ w @ r.conj().transpose(0, 2, 1)
+            # slot s gets coefficient cs on itself and ss on its partner
+            # n-1-s; the columns, then the rows, are updated and moved on
+            # to the next round's slots
+            cs = np.concatenate([c, c[:, ::-1]], axis=1)
+            ss = np.concatenate([-sp.conj(), sp[:, ::-1]], axis=1)
+            x = w * cs[:, None, :] + w[:, :, ::-1] * ss[:, None, :]
+            x = np.concatenate([x[:, :, :1], x[:, :, -1:], x[:, :, 1:-1]], axis=2)
+            y = x * cs[:, :, None] + x[:, ::-1, :] * ss.conj()[:, :, None]
+            w = np.concatenate([y[:, :1], y[:, -1:], y[:, 1:-1]], axis=1)
     return np.sort(out[:, pad:], axis=1)
 
 

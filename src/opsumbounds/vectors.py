@@ -12,8 +12,9 @@ S = Z D Z^H.  The thin QR factorization Z = QR, with orthonormal columns
 in Q, gives S = Q (R D R^H) Q^H, so ||S|| = ||R D R^H||, a norm problem
 of size min(d, n).  It holds for any F with F^H F = Gbar, the conjugated
 Gram matrix; R is such an F taken from the vectors themselves, so no
-entry is ever squared and vectors of any representable size give the
-left side to full relative accuracy.
+entry is ever squared.  The norms ||y_i|| are summed after scaling each
+vector by a power of two, so the left side keeps full relative accuracy
+whenever it and the norms are representable.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class VectorFamily:
 
     def __init__(self, vectors):
         if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-            stack = np.asarray(vectors, dtype=np.complex128)
+            stack = np.ascontiguousarray(vectors, dtype=np.complex128)
         else:
             rows = [np.asarray(v, dtype=np.complex128) for v in vectors]
             if not rows:
@@ -63,7 +64,11 @@ class VectorFamily:
             raise DimensionMismatch("empty vector family")
         if not np.isfinite(stack).all():
             raise ValueError("vector entries must be finite")
-        norms = np.sqrt((np.abs(stack) ** 2).sum(axis=1))
+        # each vector is divided by a power of two near its largest part
+        # first, so the squares can neither overflow nor underflow
+        exps = np.frexp(np.abs(stack.view(np.float64)).max(axis=1))[1]
+        unit = np.ldexp(stack.view(np.float64), -exps[:, None]).view(np.complex128)
+        norms = np.ldexp(np.sqrt((np.abs(unit) ** 2).sum(axis=1)), exps)
         if (norms == 0.0).any():
             raise ZeroVector("vector family contains a zero vector")
         self.vectors = stack
@@ -76,16 +81,20 @@ class VectorFamily:
         return self.vectors @ self.vectors.conj().T
 
     @cached_property
-    def _r_factor(self) -> np.ndarray:
-        return np.linalg.qr(self.vectors.T, mode="r")
+    def _unit_r_factor(self) -> np.ndarray:
+        return np.linalg.qr(self.vectors.T, mode="r") / self.norms
 
     def weighted_sum_norm_sq(self, alpha) -> float:
-        """||sum alpha_i A_i||^2 as ||R D R^H||^2, with R the cached R
-        factor of the vectors (at most min(d, n) rows) and
-        D = diag(alpha_i / ||y_i||)."""
+        """||sum alpha_i A_i||^2 as ||R D R^H||^2, with R the R factor of
+        the vectors (at most min(d, n) rows) and D = diag(alpha_i / ||y_i||).
+
+        It is computed as ||U diag(alpha_i ||y_i||) U^H||^2 with U = R
+        diag(1/||y_i||), the cached R factor of the unit vectors, whose
+        entries are at most 1: no intermediate leaves the scale of S.
+        """
         w = as_weights(alpha, self.count)
-        r = self._r_factor
-        return float(linalg.spectral_norms(((r * (w / self.norms)) @ r.conj().T)[None])[0]) ** 2
+        u = self._unit_r_factor
+        return float(linalg.spectral_norms(((u * (w * self.norms)) @ u.conj().T)[None])[0]) ** 2
 
 
 def as_vector_family(Y) -> VectorFamily:

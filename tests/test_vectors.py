@@ -175,8 +175,11 @@ def _materialized_norm_sq(w, y):
     return float(np.linalg.norm(s, 2)) ** 2
 
 
-@pytest.mark.parametrize("k", [-150, -120, -80, 0, 80, 150])
+@pytest.mark.parametrize("k", [-300, -200, -170, -150, -120, -80, 0, 80, 150, 170, 200, 300])
 def test_gram_lhs_is_scale_safe(k):
+    # past 10^+-154 the squared norms overflow or underflow; there the
+    # weights are scaled by 10^-k, which keeps S itself representable
+    wk = -k if abs(k) > 154 else 0
     base = PortableRng(3).complex_normal((4, 6))
     wide = PortableRng(5).complex_normal((7, 3))                      # n > d
     dependent = np.concatenate([base[:2], base[:2].sum(axis=0, keepdims=True) * (0.5 - 2j),
@@ -185,7 +188,9 @@ def test_gram_lhs_is_scale_safe(k):
                 (PortableRng(6).complex_normal(7), wide),
                 (PortableRng(7).complex_normal(4), dependent)]
     for w, y in families:
-        y = y * 10.0**k
-        expected = _materialized_norm_sq(w, y)
-        got = VectorFamily(y).weighted_sum_norm_sq(w)
+        vf = VectorFamily(y * 10.0**k)
+        norms = np.linalg.norm(y, axis=1) * 10.0**k
+        assert np.abs(vf.norms - norms).max() <= 1e-12 * norms.min()
+        expected = _materialized_norm_sq(w, y) * 10.0 ** (2 * (k + wk))
+        got = vf.weighted_sum_norm_sq(np.asarray(w) * 10.0**wk)
         assert abs(got - expected) <= 1e-10 * expected, y.shape
