@@ -28,6 +28,7 @@ from .bounds import (
     master_bound,
     offdiag_term,
     tightest_bound,
+    tightest_report,
     vector_image_bound,
 )
 from .cbs import (
@@ -147,6 +148,7 @@ __all__ = [
     "spectral_norm",
     "spectral_norms",
     "tightest_bound",
+    "tightest_report",
     "vector_image_bound",
     "verify_identities",
     "verify_instance",

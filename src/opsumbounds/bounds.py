@@ -436,14 +436,16 @@ def catalog_reports(alpha, A, exponent_grid=None, orthogonal_tol: float = ORTHOG
     return _catalog(_eval_operators(alpha, A), exponent_grid, orthogonal_tol)
 
 
+def tightest_report(reports) -> BoundReport:
+    """The first strict minimum of a report list: a report replaces the
+    running best only if its bound is strictly smaller, so ties resolve
+    to the earliest entry."""
+    return min(reports, key=lambda rep: rep.bound)
+
+
 def tightest_bound(alpha, A, exponent_grid=None) -> BoundReport:
     """The smallest catalog bound; ties resolve to the earliest entry."""
-    reports = catalog_reports(alpha, A, exponent_grid)
-    best = reports[0]
-    for rep in reports[1:]:
-        if rep.bound < best.bound:
-            best = rep
-    return best
+    return tightest_report(catalog_reports(alpha, A, exponent_grid))
 
 
 def _probe_vector(x, dim: int) -> np.ndarray:

@@ -118,10 +118,7 @@ def _cmd_bound(args) -> int:
         reports = vectors.gram_catalog_reports(weights, vf, 1.0, grid)
         lhs_key = "lhs_sq_per_unit_probe"
 
-    best = reports[0]
-    for rep in reports[1:]:
-        if rep.bound < best.bound:
-            best = rep
+    best = bounds.tightest_report(reports)
 
     lines = ["{"]
     lines.append(f'  "mode": {_jstr(pf.mode)},')

@@ -185,11 +185,7 @@ def verify_instance(alpha, A, tol: float = 1e-9, *, exponent_grid=None,
         holds = rep.lhs_sq <= rep.bound * (1.0 + tol)
         checks.append(CheckRecord(_check_name(rep), rep.lhs_sq, rep.bound, holds, rep.slack_ratio))
 
-    tightest = reports[0]
-    for rep in reports[1:]:
-        if rep.bound < tightest.bound:
-            tightest = rep
-    m = tightest.bound
+    m = bounds.tightest_report(reports).bound
 
     prng = PortableRng(derive_seed(probe_seed, fam.dim, fam.count))
     probes = [np.ones(fam.dim, dtype=np.complex128)]

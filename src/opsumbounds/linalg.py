@@ -198,8 +198,8 @@ def spectral_norms(ms, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITE
     eigenvalue route, which is slower but gap-independent.
     """
     stack = np.asarray(ms, dtype=np.complex128)
-    if stack.ndim != 3:
-        raise DimensionMismatch(f"expected a stack of matrices, got shape {stack.shape}")
+    if stack.ndim != 3 or 0 in stack.shape:
+        raise DimensionMismatch(f"expected a nonempty stack of matrices, got shape {stack.shape}")
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
     _check_iteration_args(tol, max_iter)

@@ -1,15 +1,23 @@
 """Problem-file loading, validation, and deterministic emission.
 
 The on-disk format is JSON with every complex number written as a
-two-element [re, im] array.  Emission is hand-rolled rather than fed
-through a generic serializer so the byte stream is fixed: fixed key
-order, fixed indentation, LF endings, and every float printed with 17
-significant digits (which round-trips float64 exactly).
+two-element [re, im] array.  Loading converts each of weights, operators
+and vectors with one np.array call to float64 of shape (..., 2), viewed
+as complex, and checks the whole array at once: its shape, the types of
+its leaves (JSON numbers only, no bools, strings or nulls) and its
+finiteness.  Only input that fails is walked entry by entry, to name the
+first bad entry.  Emission is hand-rolled rather than fed through a
+generic serializer so the byte stream is fixed: fixed key order, fixed
+indentation, LF endings, and every float printed with 17 significant
+digits (which round-trips float64 exactly), through one %-format
+template per row of d entries.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,9 +30,12 @@ SCHEMA_VERSION = "1"
 _TOP_KEYS = {"schema_version", "dim", "weights", "operators", "vectors"}
 
 
+_FLOAT_FORMAT = "%.17g"
+
+
 def format_float(x: float) -> str:
     """Fixed 17-significant-digit decimal form."""
-    return "%.17g" % x
+    return _FLOAT_FORMAT % x
 
 
 @dataclass
@@ -46,53 +57,57 @@ class ProblemFile:
         return int(self.vectors.shape[0])
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+_NUMBER_TYPES = {int, float}
 
 
-def _parse_pair(node, where: str) -> complex:
-    if not (isinstance(node, list) and len(node) == 2 and all(_is_number(v) for v in node)):
+def _parse_array(node, shape: tuple, where: str) -> np.ndarray:
+    """node as a complex array of `shape`, each entry an [re, im] pair.
+
+    One np.array conversion reads the whole node.  np.array also takes
+    bools and numeric strings as numbers and maps null to nan, so the
+    types of the flattened leaves are checked in one pass as well.  Only
+    when the conversion, the shape, the finiteness or the types fail is
+    the node walked entry by entry, to name the first bad entry.
+    """
+    try:
+        arr = np.array(node, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is not None and arr.shape == shape + (2,) and np.isfinite(arr).all():
+        leaves = node
+        for _ in shape:
+            leaves = itertools.chain.from_iterable(leaves)
+        if set(map(type, leaves)) <= _NUMBER_TYPES:
+            return arr.view(np.complex128).reshape(shape)
+    _raise_first_defect(node, shape, where)
+    raise SchemaError(f"{where} is not an array of [re, im] number pairs")
+
+
+def _raise_first_defect(node, shape: tuple, where: str) -> None:
+    """Raise for the first entry of node, in document order, that is not
+    a finite [re, im] pair in a nested list of `shape`."""
+    if shape:
+        if not (isinstance(node, list) and len(node) == shape[0]):
+            raise SchemaError(f"{where} must have {shape[0]} entries")
+        for i, child in enumerate(node):
+            _raise_first_defect(child, shape[1:], f"{where}[{i}]")
+        return
+    if not (isinstance(node, list) and len(node) == 2
+            and all(type(v) in _NUMBER_TYPES for v in node)):
         raise SchemaError(f"{where} must be a two-element [re, im] number pair")
-    z = complex(float(node[0]), float(node[1]))
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    try:
+        pair = [float(v) for v in node]
+    except OverflowError:
+        raise ValueError(f"{where} is outside the float64 range") from None
+    if not np.isfinite(pair).all():
         raise ValueError(f"{where} is not finite")
-    return z
 
 
-def _parse_weights(node, n: int) -> np.ndarray:
-    if not (isinstance(node, list) and len(node) == n):
-        raise SchemaError(f"weights must be a list of {n} [re, im] pairs")
-    return np.array([_parse_pair(p, f"weights[{i}]") for i, p in enumerate(node)],
-                    dtype=np.complex128)
-
-
-def _parse_operators(node, dim: int) -> np.ndarray:
-    if not (isinstance(node, list) and len(node) >= 1):
-        raise SchemaError("operators must be a nonempty list of matrices")
-    ops = np.empty((len(node), dim, dim), dtype=np.complex128)
-    for k, mat in enumerate(node):
-        if not (isinstance(mat, list) and len(mat) == dim):
-            raise SchemaError(f"operators[{k}] must have {dim} rows")
-        for a, row in enumerate(mat):
-            if not (isinstance(row, list) and len(row) == dim):
-                raise SchemaError(f"operators[{k}][{a}] must have {dim} entries")
-            for b, entry in enumerate(row):
-                ops[k, a, b] = _parse_pair(entry, f"operators[{k}][{a}][{b}]")
-    return ops
-
-
-def _parse_vectors(node, dim: int) -> np.ndarray:
-    if not (isinstance(node, list) and len(node) >= 1):
-        raise SchemaError("vectors must be a nonempty list of d-vectors")
-    vecs = np.empty((len(node), dim), dtype=np.complex128)
-    for k, vec in enumerate(node):
-        if not (isinstance(vec, list) and len(vec) == dim):
-            raise SchemaError(f"vectors[{k}] must have {dim} entries")
-        for a, entry in enumerate(vec):
-            vecs[k, a] = _parse_pair(entry, f"vectors[{k}][{a}]")
-        if not np.abs(vecs[k]).any():
-            raise ZeroVector(f"vectors[{k}] is the zero vector")
-    return vecs
+def _parse_stack(doc, key: str, inner: tuple, items: str) -> np.ndarray:
+    node = doc[key]
+    if not (isinstance(node, list) and node):
+        raise SchemaError(f"{key} must be a nonempty list of {items}")
+    return _parse_array(node, (len(node),) + inner, key)
 
 
 def loads_problem(text: str) -> ProblemFile:
@@ -119,13 +134,17 @@ def loads_problem(text: str) -> ProblemFile:
     if has_ops == has_vecs:
         raise SchemaError("exactly one of operators/vectors must be present")
 
-    operators = _parse_operators(doc["operators"], dim) if has_ops else None
-    vectors = _parse_vectors(doc["vectors"], dim) if has_vecs else None
+    operators = _parse_stack(doc, "operators", (dim, dim), "matrices") if has_ops else None
+    vectors = _parse_stack(doc, "vectors", (dim,), "d-vectors") if has_vecs else None
+    if has_vecs:
+        zero = np.flatnonzero(~(vectors != 0).any(axis=1))
+        if zero.size:
+            raise ZeroVector(f"vectors[{zero[0]}] is the zero vector")
     n = len(operators) if has_ops else len(vectors)
 
     weights = None
     if "weights" in doc:
-        weights = _parse_weights(doc["weights"], n)
+        weights = _parse_array(doc["weights"], (n,), "weights")
     elif has_ops:
         raise SchemaError("weights are required in operators mode")
 
@@ -138,16 +157,14 @@ def load_problem(path) -> ProblemFile:
         return loads_problem(fh.read())
 
 
-def _emit_pair(z: complex) -> str:
-    return f"[{format_float(z.real)},{format_float(z.imag)}]"
-
-
-def _emit_vector(v: np.ndarray) -> str:
-    return "[" + ",".join(_emit_pair(z) for z in v) + "]"
-
-
-def _emit_matrix(m: np.ndarray) -> str:
-    return "[" + ",".join(_emit_vector(row) for row in m) + "]"
+def _emit_rows(arr: np.ndarray) -> list[str]:
+    """One JSON row of [re, im] pairs per run of arr's last axis, from
+    one %-format template applied to the rows as Python floats."""
+    c = np.ascontiguousarray(arr, dtype=np.complex128)
+    d = c.shape[-1]
+    template = "[" + ",".join([f"[{_FLOAT_FORMAT},{_FLOAT_FORMAT}]"] * d) + "]"
+    rows = c.view(np.float64).reshape(math.prod(c.shape[:-1]), 2 * d).tolist()
+    return [template % tuple(row) for row in rows]
 
 
 def emit_problem(pf: ProblemFile) -> str:
@@ -158,12 +175,14 @@ def emit_problem(pf: ProblemFile) -> str:
     lines.append(f'  "dim": {pf.dim}{tail_comma}')
     parts = []
     if pf.weights is not None:
-        parts.append('  "weights": ' + _emit_vector(pf.weights))
+        parts.append('  "weights": ' + _emit_rows(pf.weights)[0])
     if pf.operators is not None:
-        body = ",\n".join("    " + _emit_matrix(m) for m in pf.operators)
+        rows = _emit_rows(pf.operators)
+        d = pf.operators.shape[1]
+        body = ",\n".join("    [" + ",".join(rows[k:k + d]) + "]" for k in range(0, len(rows), d))
         parts.append('  "operators": [\n' + body + "\n  ]")
     if pf.vectors is not None:
-        body = ",\n".join("    " + _emit_vector(v) for v in pf.vectors)
+        body = ",\n".join("    " + row for row in _emit_rows(pf.vectors))
         parts.append('  "vectors": [\n' + body + "\n  ]")
     lines.append(",\n".join(parts))
     lines.append("}")

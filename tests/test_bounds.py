@@ -22,6 +22,7 @@ from opsumbounds.bounds import (
     master_bound,
     offdiag_term,
     tightest_bound,
+    tightest_report,
     vector_image_bound,
 )
 from opsumbounds.cbs import OperatorFamily
@@ -168,6 +169,18 @@ def test_tightest_is_first_strict_minimum():
                 best = rep
         tight = tightest_bound(w, fam)
         assert tight.name == best.name and tight.bound == best.bound
+        assert tightest_report(reps) is best
+
+
+def test_tightest_report_tie_breaking():
+    def reps(*values):
+        return [bounds.BoundReport(f"b{i}", "", 1.0, v, None, v) for i, v in enumerate(values)]
+
+    assert tightest_report(reps(3.0, 2.0, 2.0, 5.0)).name == "b1"
+    assert tightest_report(reps(1.0, 1.0)).name == "b0"
+    # a nan never compares smaller, and a nan best is never replaced
+    assert tightest_report(reps(2.0, float("nan"), 1.0)).name == "b2"
+    assert tightest_report(reps(float("nan"), 1.0)).name == "b0"
 
 
 # -- invariances -------------------------------------------------------------

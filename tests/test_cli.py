@@ -95,6 +95,11 @@ def test_bad_inputs_exit_2(ops_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert main(["bound", "--input", str(bad)]) == 2
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"schema_version": "1", "dim": 1, "weights": [[1' + "0" * 400 + ',0]], '
+                    '"operators": [[[[1,0]]]]}', encoding="utf-8")
+    assert main(["bound", "--input", str(huge)]) == 2
+    assert main(["verify", "--input", str(huge)]) == 2
     assert main(["bound", "--input", ops_file, "--mode", "vectors"]) == 2
     assert main(["bound", "--input", ops_file, "--grid", "zzz"]) == 2
     assert main(["verify", "--kind", "GaussianDense", "--dim", "4", "--count", "3",

@@ -139,6 +139,10 @@ def test_norm_routes_are_scale_safe(k):
 def test_spectral_norms_rejects_bad_shapes():
     with pytest.raises(DimensionMismatch):
         linalg.spectral_norms(np.zeros((3, 3)))
+    # an empty stack used to run all max_iter power steps on no data
+    for shape in [(0, 3, 3), (2, 0, 3), (2, 3, 0)]:
+        with pytest.raises(DimensionMismatch):
+            linalg.spectral_norms(np.zeros(shape))
     with pytest.raises(ValueError):
         linalg.spectral_norms(np.array([[[np.inf, 0], [0, 0]]]))
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,15 @@ def test_parse_error_on_bad_json():
         '{"schema_version": "1", "dim": 1, "weights": [["x",0]], "operators": [[[[1,0]]]]}',
         '{"schema_version": "1", "dim": 1, "weights": [[1,0]], "operators": []}',
         '{"schema_version": "1", "dim": 2, "vectors": [[[1,0]]]}',
+        # entries that a bare numpy conversion would take as numbers
+        '{"schema_version": "1", "dim": 1, "weights": [[true,0]], "operators": [[[[1,0]]]]}',
+        '{"schema_version": "1", "dim": 1, "weights": [["1",0]], "operators": [[[[1,0]]]]}',
+        '{"schema_version": "1", "dim": 1, "weights": [[null,0]], "operators": [[[[1,0]]]]}',
+        '{"schema_version": "1", "dim": 1, "weights": [[[1],0]], "operators": [[[[1,0]]]]}',
+        '{"schema_version": "1", "dim": 2, "vectors": [[[1,0],[0,false]]]}',
+        # operators one level too shallow, and one too deep
+        '{"schema_version": "1", "dim": 2, "weights": [[1,0]], "operators": [[[1,0],[0,0]]]}',
+        '{"schema_version": "1", "dim": 1, "weights": [[1,0]], "operators": [[[[[1,0]]]]]}',
     ],
 )
 def test_schema_violations(text):
@@ -82,11 +94,38 @@ def test_nonfinite_entries_rejected():
         loads_problem('{"schema_version": "1", "dim": 1, "weights": [[Infinity,0]], "operators": [[[[1,0]]]]}')
     with pytest.raises(ValueError):
         loads_problem('{"schema_version": "1", "dim": 1, "weights": [[1,0]], "operators": [[[[NaN,0]]]]}')
+    with pytest.raises(ValueError, match=r"vectors\[1\]\[0\] is not finite"):
+        loads_problem('{"schema_version": "1", "dim": 2, "vectors": [[[1,0],[0,1]],[[0,NaN],[1,0]]]}')
+    deep = [[[[1, 0]] * 3 for _ in range(3)] for _ in range(2)]
+    deep[1][2][1] = [1, float("-inf")]
+    text = json.dumps({"schema_version": "1", "dim": 3, "weights": [[1, 0], [1, 0]], "operators": deep})
+    with pytest.raises(ValueError, match=r"operators\[1\]\[2\]\[1\] is not finite"):
+        loads_problem(text)
+
+
+_BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "weights, operators, entry",
+    [
+        (f"[[{_BIG},0]]", "[[[[1,0]]]]", r"weights\[0\]"),
+        ("[[1,0]]", f"[[[[1,-{_BIG}]]]]", r"operators\[0\]\[0\]\[0\]"),
+    ],
+    ids=["weights", "operators"],
+)
+def test_integer_beyond_float_range_rejected(weights, operators, entry):
+    # float() of a 401-digit integer raises OverflowError, which is not a
+    # ValueError; the parser must turn it into one that names the entry
+    with pytest.raises(ValueError, match=entry):
+        loads_problem(f'{{"schema_version": "1", "dim": 1, "weights": {weights}, "operators": {operators}}}')
 
 
 def test_zero_vector_rejected():
     with pytest.raises(ZeroVector):
         loads_problem('{"schema_version": "1", "dim": 2, "vectors": [[[0,0],[0,0]]]}')
+    with pytest.raises(ZeroVector, match=r"vectors\[1\] is the zero vector"):
+        loads_problem('{"schema_version": "1", "dim": 2, "vectors": [[[0,0],[5e-324,0]],[[0,0],[-0.0,0]]]}')
 
 
 def test_frozen_single_entry_emission():
@@ -108,6 +147,32 @@ def test_frozen_single_entry_emission():
         "}\n"
     )
     assert emit_problem(pf) == expected
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_frozen_emission_digests():
+    # digests of the byte streams the per-entry emitter wrote; the row
+    # template emitter must reproduce them exactly
+    rng = PortableRng(2024)
+    ops = ProblemFile("1", 8, rng.complex_normal(3), rng.complex_normal((3, 8, 8)), None)
+    assert _sha256(emit_problem(ops)) == "5d8443444493ae37c6ba7a43ebc0dfee9dddeed69644c1687dadcc04b2804a35"
+    rng = PortableRng(2025)
+    vecs = ProblemFile("1", 16, rng.complex_normal(5), None, rng.complex_normal((5, 16)))
+    assert _sha256(emit_problem(vecs)) == "d0b911bee0764d30a27aaeccda7cbd4d612f16554fee21466437b64bb727259d"
+    big, tiny = 1.7976931348623157e308, 5e-324
+    special = ProblemFile(
+        "1", 2, np.array([complex(-0.0, tiny), complex(3.0, -7.0)]),
+        np.array([[[complex(-0.0, tiny), complex(big, -0.0)], [complex(3.0, -7.0), complex(-tiny, -big)]],
+                  [[0j, complex(1e16, -2.0)], [complex(0.1, 123456789.0), complex(2.0**53, -1.0)]]]),
+        None)
+    assert _sha256(emit_problem(special)) == "3696fa823141002f128780b203babd4482022a8e0f9c3b6036b53b3d6715dbee"
+    text = ('{"schema_version":"1","dim":3,"vectors":[[[1,0],[-0.0,2],[12345678901234567890,-3]],'
+            '[[5e-324,-5e-324],[1.7976931348623157e308,0],[-1.7976931348623157e308,1e-300]]]}')
+    assert _sha256(emit_problem(loads_problem(text))) == (
+        "c039db5886859a57ba6cea132dbe127fb6ca1f6f866c03f6e2016820f544e7cc")
 
 
 def test_round_trip_is_exact():
