@@ -11,23 +11,12 @@ output.
 """
 
 from .bounds import (
-    BoundConfig,
     BoundReport,
     HolderPair,
     bilinear_bound,
-    bound_cross_total,
-    bound_holder_count,
-    bound_l1_cross,
-    bound_l2_cross,
-    bound_max_terms,
-    bound_orthogonal,
-    bound_power_mean,
+    catalog_from_norm_data,
     catalog_reports,
-    diag_term,
-    lhs_norm_sq,
-    master_bound,
-    offdiag_term,
-    tightest_bound,
+    slack_ratio,
     tightest_report,
     vector_image_bound,
 )
@@ -82,8 +71,6 @@ from .vectors import (
     as_vector_family,
     bessel_weighting,
     gram_catalog_reports,
-    gram_master_bound,
-    particular_bounds,
     rank_one_family,
     verify_identities,
 )
@@ -91,7 +78,6 @@ from .vectors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundConfig",
     "BoundReport",
     "CSV_HEADER",
     "CheckRecord",
@@ -119,35 +105,23 @@ __all__ = [
     "as_weights",
     "bessel_weighting",
     "bilinear_bound",
-    "bound_cross_total",
-    "bound_holder_count",
-    "bound_l1_cross",
-    "bound_l2_cross",
-    "bound_max_terms",
-    "bound_orthogonal",
-    "bound_power_mean",
+    "catalog_from_norm_data",
     "catalog_reports",
     "cbs_norm_check",
     "cbs_operator_gap",
     "derive_seed",
-    "diag_term",
     "emit_problem",
     "format_float",
     "generate",
     "gram_catalog_reports",
-    "gram_master_bound",
     "hermitian_eigenvalues",
-    "lhs_norm_sq",
     "load_problem",
     "loads_problem",
-    "master_bound",
-    "offdiag_term",
-    "particular_bounds",
     "rank_one_family",
+    "slack_ratio",
     "slack_sweep",
     "spectral_norm",
     "spectral_norms",
-    "tightest_bound",
     "tightest_report",
     "vector_image_bound",
     "verify_identities",

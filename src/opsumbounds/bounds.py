@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .cbs import as_family, as_weights
-from .errors import DimensionMismatch, InvalidExponent, NotOrthogonalFamily
+from .errors import DimensionMismatch, InvalidExponent
 
 DEFAULT_GRID = (1.25, 1.5, 2.0, 3.0, 4.0)
 ORTHOGONAL_TOL = 1e-10
@@ -74,116 +74,20 @@ class HolderPair:
         return cls(p, p / (p - 1.0))
 
 
-_DIAG_CHOICES = (MAX_WEIGHT, MAX_NORM)
-_OFFDIAG_CHOICES = (MAX_PAIR, MAX_CROSS)
-
-
-@dataclass(frozen=True)
-class BoundConfig:
-    """One cell of the 3 x 3 configuration table.
-
-    Each choice is either a sentinel string or a HolderPair; the pair
-    plays the role of (p, q) on the diagonal side and (r, s) on the
-    off-diagonal side.
-    """
-
-    diag_choice: object
-    offdiag_choice: object
-
-    def __post_init__(self):
-        if not isinstance(self.diag_choice, HolderPair) and self.diag_choice not in _DIAG_CHOICES:
-            raise InvalidExponent(f"unknown diagonal choice {self.diag_choice!r}")
-        if not isinstance(self.offdiag_choice, HolderPair) and self.offdiag_choice not in _OFFDIAG_CHOICES:
-            raise InvalidExponent(f"unknown off-diagonal choice {self.offdiag_choice!r}")
-
-
 @dataclass(frozen=True)
 class BoundReport:
     name: str
     exponents: str
     lhs_sq: float
     bound: float
-    config: object
     slack_ratio: float
 
 
-def _slack(lhs_sq: float, bound: float) -> float:
+def slack_ratio(lhs_sq: float, bound: float) -> float:
+    """bound / lhs_sq; 1 when both vanish, inf when only the left side does."""
     if lhs_sq <= 0.0:
         return 1.0 if bound <= 0.0 else math.inf
     return bound / lhs_sq
-
-
-class _Eval:
-    """Per-instance arithmetic shared by every catalog entry.
-
-    Carries |alpha_i|, the norm data, and a thunk for the exact left
-    side so that one instance evaluated against the whole catalog pays
-    for the assembled-sum norm exactly once.  scale multiplies both the
-    bounds and the left side (used by the Gram path to fold in ||x||^2),
-    leaving slack ratios untouched.
-    """
-
-    def __init__(self, wa, na, cross, lhs_thunk, scale: float = 1.0):
-        self.wa = np.asarray(wa, dtype=np.float64)
-        self.na = np.asarray(na, dtype=np.float64)
-        self.cross = np.asarray(cross, dtype=np.float64)
-        off = self.cross.copy()
-        np.fill_diagonal(off, 0.0)
-        self.off = off
-        self.n = int(self.wa.size)
-        self._lhs_thunk = lhs_thunk
-        self.scale = float(scale)
-        self._memo = {}
-
-    @cached_property
-    def lhs_sq(self) -> float:
-        return self.scale * float(self._lhs_thunk())
-
-    # The catalog evaluates the same handful of aggregates for many
-    # configurations; memoized accessors keep that linear in the number
-    # of distinct exponents instead of the number of catalog entries.
-
-    def lp_weights(self, p: float) -> float:
-        key = ("w", p)
-        if key not in self._memo:
-            self._memo[key] = _lp_aggregate(self.wa, p)
-        return self._memo[key]
-
-    def lp_norms(self, q: float) -> float:
-        key = ("n", q)
-        if key not in self._memo:
-            self._memo[key] = _lp_aggregate(self.na, q)
-        return self._memo[key]
-
-    def pair_weight(self, r: float) -> float:
-        key = ("pw", r)
-        if key not in self._memo:
-            self._memo[key] = _pair_weight(self.wa, r)
-        return self._memo[key]
-
-    def cross_agg(self, s: float) -> float:
-        key = ("x", s)
-        if key not in self._memo:
-            self._memo[key] = _cross_aggregate(self.off, s)
-        return self._memo[key]
-
-    @cached_property
-    def cross_total_sum(self) -> float:
-        return float(self.cross.sum())
-
-
-def _eval_operators(alpha, A) -> _Eval:
-    fam = as_family(A)
-    w = as_weights(alpha, fam.count)
-
-    def thunk():
-        # the batch route falls back to the eigen-decomposition when the
-        # assembled sum has a nearly degenerate top pair; random
-        # ensembles do hit such instances
-        s = np.einsum("i,iab->ab", w, fam.ops)
-        return float(linalg.spectral_norms(s[None])[0]) ** 2
-
-    return _Eval(np.abs(w), fam.norms, fam.cross, thunk)
 
 
 def _lp_aggregate(values: np.ndarray, p: float) -> float:
@@ -226,120 +130,6 @@ def _cross_aggregate(off: np.ndarray, s: float) -> float:
     return float((off**s).sum()) ** (1.0 / s)
 
 
-def _diag_exponents(choice) -> tuple[float, float]:
-    if isinstance(choice, HolderPair):
-        return choice.p, choice.q
-    if choice == MAX_WEIGHT:
-        return _INF, 1.0
-    if choice == MAX_NORM:
-        return 1.0, _INF
-    raise InvalidExponent(f"unknown diagonal choice {choice!r}")
-
-
-def _offdiag_exponents(choice) -> tuple[float, float]:
-    if isinstance(choice, HolderPair):
-        return choice.p, choice.q
-    if choice == MAX_PAIR:
-        return _INF, 1.0
-    if choice == MAX_CROSS:
-        return 1.0, _INF
-    raise InvalidExponent(f"unknown off-diagonal choice {choice!r}")
-
-
-def _choice_label(choice) -> str:
-    return "holder" if isinstance(choice, HolderPair) else str(choice)
-
-
-def _master_exponents(config: BoundConfig) -> str:
-    parts = []
-    if isinstance(config.diag_choice, HolderPair):
-        parts.append(f"p={config.diag_choice.p:g},q={config.diag_choice.q:g}")
-    if isinstance(config.offdiag_choice, HolderPair):
-        parts.append(f"r={config.offdiag_choice.p:g},s={config.offdiag_choice.q:g}")
-    return ";".join(parts)
-
-
-def _finish(ev: _Eval, name: str, exponents: str, config, raw_bound: float) -> BoundReport:
-    bound = float(raw_bound) * ev.scale
-    lhs = ev.lhs_sq
-    return BoundReport(
-        name=name,
-        exponents=exponents,
-        lhs_sq=lhs,
-        bound=bound,
-        config=config,
-        slack_ratio=_slack(lhs, bound),
-    )
-
-
-def _master(ev: _Eval, config: BoundConfig) -> BoundReport:
-    p, q = _diag_exponents(config.diag_choice)
-    r, s = _offdiag_exponents(config.offdiag_choice)
-    raw = ev.lp_weights(p) * ev.lp_norms(q) + ev.pair_weight(r) * ev.cross_agg(s)
-    name = f"master:{_choice_label(config.diag_choice)}+{_choice_label(config.offdiag_choice)}"
-    return _finish(ev, name, _master_exponents(config), config, raw)
-
-
-def _cross_total(ev: _Eval) -> BoundReport:
-    # largest |weight|^2 times the full n x n cross-norm mass, diagonal
-    # included; already in squared form.
-    raw = ev.lp_weights(_INF) * ev.cross_total_sum
-    return _finish(ev, "cross_total", "", "cross_total", raw)
-
-
-def _holder_count(ev: _Eval, pair: HolderPair) -> BoundReport:
-    if not (math.isfinite(pair.p) and pair.p > 1.0):
-        raise InvalidExponent(f"needs a finite exponent p > 1, got {pair.p}")
-    bracket = ev.lp_norms(pair.q) + (ev.n - 1) * ev.cross_agg(pair.q)
-    raw = ev.lp_weights(pair.p) * bracket
-    return _finish(ev, "holder_count", f"p={pair.p:g},q={pair.q:g}", "holder_count", raw)
-
-
-def _max_terms(ev: _Eval) -> BoundReport:
-    bracket = ev.lp_norms(_INF) + (ev.n - 1) * ev.cross_agg(_INF)
-    raw = ev.lp_weights(1.0) * bracket
-    return _finish(ev, "max_terms", "", "max_terms", raw)
-
-
-def _power_mean(ev: _Eval, r: float, name: str = "power_mean_cross") -> BoundReport:
-    if not (1.0 < r <= 2.0):
-        raise InvalidExponent(f"power-mean exponent must lie in (1, 2], got {r}")
-    s = r / (r - 1.0)
-    bracket = ev.lp_norms(_INF) + ev.n ** (2.0 / r - 1.0) * ev.cross_agg(s)
-    raw = ev.lp_weights(1.0) * bracket
-    return _finish(ev, name, f"r={r:g},s={s:g}", name, raw)
-
-
-def _l2_cross(ev: _Eval) -> BoundReport:
-    # the r = 2 power mean under its own catalog name; sharing the code
-    # path makes the recapture identity exact by construction
-    return _power_mean(ev, 2.0, name="l2_cross")
-
-
-def _l1_cross(ev: _Eval) -> BoundReport:
-    bracket = ev.lp_norms(_INF) + ev.cross_agg(1.0)
-    raw = ev.lp_weights(1.0) * bracket
-    return _finish(ev, "l1_cross", "", "l1_cross", raw)
-
-
-def _orthogonality_holds(ev: _Eval, tol: float) -> bool:
-    return float(ev.off.max()) <= tol * ev.lp_norms(_INF)
-
-
-def _orthogonal(ev: _Eval, choice, tol: float) -> BoundReport:
-    if not _orthogonality_holds(ev, tol):
-        raise NotOrthogonalFamily(
-            f"largest cross norm {float(ev.off.max()):.3e} exceeds "
-            f"{tol:g} times the largest squared norm"
-        )
-    p, q = _diag_exponents(choice)
-    # the bound is on the norm itself; the squared form equals the
-    # corresponding diagonal term exactly
-    raw = ev.lp_weights(p) * ev.lp_norms(q)
-    exps = f"p={p:g},q={q:g}" if isinstance(choice, HolderPair) else ""
-    return _finish(ev, f"orthogonal:{_choice_label(choice)}", exps, choice, raw)
-
-
 def _validated_grid(exponent_grid) -> tuple[float, ...]:
     if exponent_grid is None:
         return DEFAULT_GRID
@@ -350,90 +140,98 @@ def _validated_grid(exponent_grid) -> tuple[float, ...]:
     return grid
 
 
-def _catalog(ev: _Eval, exponent_grid, orthogonal_tol: float = ORTHOGONAL_TOL) -> list[BoundReport]:
+@lru_cache(maxsize=16)
+def _catalog_table(grid: tuple[float, ...]):
+    """The exponent pairs and (name, exponents) labels of one grid.
+
+    The diagonal choices (max_weight, Holder, max_norm) and the
+    off-diagonal ones (max_pair, Holder, max_cross) share one list of
+    conjugate pairs, the sentinels being (inf, 1) and (1, inf).  The
+    labels run in catalog order: the master table row by row, then the
+    named variants; the orthogonal labels come separately.
+    """
+    pairs = [(h.p, h.q) for h in map(HolderPair.conjugate, (_INF, *grid, 1.0))]
+    power_means = [(r, s) for r, s in pairs[1:-1] if r <= 2.0]
+    diag = [(MAX_WEIGHT, "")] + [("holder", f"p={p:g},q={q:g}") for p, q in pairs[1:-1]] + [(MAX_NORM, "")]
+    off = [(MAX_PAIR, "")] + [("holder", f"r={r:g},s={s:g}") for r, s in pairs[1:-1]] + [(MAX_CROSS, "")]
+    labels = [(f"master:{dn}+{on}", ";".join(e for e in (de, oe) if e)) for dn, de in diag for on, oe in off]
+    labels.append(("cross_total", ""))
+    labels += [("holder_count", exps) for _, exps in diag[1:-1]]
+    labels += [("max_terms", ""), ("l2_cross", "r=2,s=2"), ("l1_cross", "")]
+    labels += [("power_mean_cross", f"r={r:g},s={s:g}") for r, s in power_means]
+    orthogonal = [(f"orthogonal:{dn}", de) for dn, de in diag]
+    return pairs, power_means, labels, orthogonal
+
+
+def catalog_from_norm_data(abs_weights, norms, cross, lhs_sq, exponent_grid=None,
+                           orthogonal_tol: float = ORTHOGONAL_TOL, scale: float = 1.0) -> list[BoundReport]:
+    """Every catalog bound from |alpha_i|, ||A_i|| and the n x n table of
+    ||A_i A_j^*||, in fixed catalog order.
+
+    lhs_sq is a callable returning the exact left side; it is called
+    once, after the grid is validated.  scale multiplies both the bounds
+    and the left side (the Gram route folds in ||x||^2 this way), leaving
+    slack ratios untouched.
+
+    Each aggregate is computed once per distinct exponent.  The master
+    entries are the table D[i] + O[j] of a diagonal term per diagonal
+    choice and an off-diagonal term per off-diagonal choice; the named
+    variants follow, and, when every cross product vanishes up to
+    orthogonal_tol, the diagonal terms D themselves.
+    """
     grid = _validated_grid(exponent_grid)
-    diag_choices = [MAX_WEIGHT] + [HolderPair.conjugate(p) for p in grid] + [MAX_NORM]
-    off_choices = [MAX_PAIR] + [HolderPair.conjugate(r) for r in grid] + [MAX_CROSS]
-    reports = [
-        _master(ev, BoundConfig(dc, oc)) for dc in diag_choices for oc in off_choices
-    ]
-    reports.append(_cross_total(ev))
-    reports.extend(_holder_count(ev, HolderPair.conjugate(p)) for p in grid)
-    reports.append(_max_terms(ev))
-    reports.append(_l2_cross(ev))
-    reports.append(_l1_cross(ev))
-    reports.extend(_power_mean(ev, r) for r in grid if 1.0 < r <= 2.0)
-    if _orthogonality_holds(ev, orthogonal_tol):
-        for choice in diag_choices:
-            reports.append(_orthogonal(ev, choice, orthogonal_tol))
-    return reports
+    pairs, power_means, labels, orthogonal = _catalog_table(grid)
+    wa = np.asarray(abs_weights, dtype=np.float64)
+    na = np.asarray(norms, dtype=np.float64)
+    cross = np.asarray(cross, dtype=np.float64)
+    off = cross.copy()
+    np.fill_diagonal(off, 0.0)
+    n = wa.size
 
+    lw = {p: _lp_aggregate(wa, p) for p in {p for p, _ in pairs}}
+    ln = {q: _lp_aggregate(na, q) for q in {q for _, q in pairs}}
+    pw = {r: _pair_weight(wa, r) for r in {r for r, _ in pairs}}
+    xa = {s: _cross_aggregate(off, s) for s in {s for _, s in pairs} | {2.0}}
+    diag = np.array([lw[p] * ln[q] for p, q in pairs])
+    offdiag = np.array([pw[r] * xa[s] for r, s in pairs])
 
-# -- public surface ----------------------------------------------------------
+    def power_mean(r, s):
+        return lw[1.0] * (ln[_INF] + n ** (2.0 / r - 1.0) * xa[s])
 
+    # cross_total takes the full table, diagonal included
+    named = [lw[_INF] * float(cross.sum())]
+    named += [lw[p] * (ln[q] + (n - 1) * xa[q]) for p, q in pairs[1:-1]]
+    named.append(lw[1.0] * (ln[_INF] + (n - 1) * xa[_INF]))
+    # l2_cross is the r = 2 power mean under its own name; sharing the
+    # formula makes the recapture identity exact by construction
+    named.append(power_mean(2.0, 2.0))
+    named.append(lw[1.0] * (ln[_INF] + xa[1.0]))
+    named += [power_mean(r, s) for r, s in power_means]
 
-def lhs_norm_sq(alpha, A) -> float:
-    """||sum alpha_i A_i||^2, the exact quantity every bound dominates."""
-    return _eval_operators(alpha, A).lhs_sq
-
-
-def diag_term(alpha, A, choice) -> float:
-    """Upper bound for sum |a_i|^2 ||A_i||^2 per the chosen relaxation."""
-    ev = _eval_operators(alpha, A)
-    p, q = _diag_exponents(choice)
-    return _lp_aggregate(ev.wa, p) * _lp_aggregate(ev.na, q)
-
-
-def offdiag_term(alpha, A, choice) -> float:
-    """Upper bound for sum_{i != j} |a_i||a_j| ||A_i A_j^*||; 0 when n = 1."""
-    ev = _eval_operators(alpha, A)
-    r, s = _offdiag_exponents(choice)
-    return _pair_weight(ev.wa, r) * _cross_aggregate(ev.off, s)
-
-
-def master_bound(alpha, A, config: BoundConfig) -> BoundReport:
-    """diag_term + offdiag_term for one of the nine configurations."""
-    return _master(_eval_operators(alpha, A), config)
-
-
-def bound_cross_total(alpha, A) -> BoundReport:
-    """(max |a_i|)^2 times the full cross-norm table, diagonal included."""
-    return _cross_total(_eval_operators(alpha, A))
-
-
-def bound_holder_count(alpha, A, pair: HolderPair) -> BoundReport:
-    """Holder weights against a count-inflated cross bracket."""
-    return _holder_count(_eval_operators(alpha, A), pair)
-
-
-def bound_max_terms(alpha, A) -> BoundReport:
-    """sum |a_i|^2 times [max norm^2 + (n - 1) max cross]."""
-    return _max_terms(_eval_operators(alpha, A))
-
-
-def bound_l2_cross(alpha, A) -> BoundReport:
-    """sum |a_i|^2 times [max norm^2 + l2 mass of the cross norms]."""
-    return _l2_cross(_eval_operators(alpha, A))
-
-
-def bound_l1_cross(alpha, A) -> BoundReport:
-    """sum |a_i|^2 times [max norm^2 + l1 mass of the cross norms]."""
-    return _l1_cross(_eval_operators(alpha, A))
-
-
-def bound_power_mean(alpha, A, r: float) -> BoundReport:
-    """Power-mean interpolation of the cross bracket, 1 < r <= 2."""
-    return _power_mean(_eval_operators(alpha, A), r)
-
-
-def bound_orthogonal(alpha, A, choice, tol: float = ORTHOGONAL_TOL) -> BoundReport:
-    """Diagonal-only bounds valid when all cross products vanish."""
-    return _orthogonal(_eval_operators(alpha, A), choice, tol)
+    values = [(diag[:, None] + offdiag[None, :]).ravel(), np.array(named)]
+    if float(off.max()) <= orthogonal_tol * ln[_INF]:
+        # the bound is on the norm itself; its squared form is exactly
+        # the diagonal term
+        values.append(diag)
+        labels = labels + orthogonal
+    lhs = float(scale) * float(lhs_sq())
+    return [BoundReport(name, exps, lhs, bound, slack_ratio(lhs, bound))
+            for (name, exps), bound in zip(labels, (np.concatenate(values) * float(scale)).tolist())]
 
 
 def catalog_reports(alpha, A, exponent_grid=None, orthogonal_tol: float = ORTHOGONAL_TOL) -> list[BoundReport]:
     """Every catalog bound on one instance, in fixed catalog order."""
-    return _catalog(_eval_operators(alpha, A), exponent_grid, orthogonal_tol)
+    fam = as_family(A)
+    w = as_weights(alpha, fam.count)
+
+    def lhs_sq():
+        # the batch route falls back to the eigen-decomposition when the
+        # assembled sum has a nearly degenerate top pair; random
+        # ensembles do hit such instances
+        s = np.einsum("i,iab->ab", w, fam.ops)
+        return float(linalg.spectral_norms(s[None])[0]) ** 2
+
+    return catalog_from_norm_data(np.abs(w), fam.norms, fam.cross, lhs_sq, exponent_grid, orthogonal_tol)
 
 
 def tightest_report(reports) -> BoundReport:
@@ -441,11 +239,6 @@ def tightest_report(reports) -> BoundReport:
     running best only if its bound is strictly smaller, so ties resolve
     to the earliest entry."""
     return min(reports, key=lambda rep: rep.bound)
-
-
-def tightest_bound(alpha, A, exponent_grid=None) -> BoundReport:
-    """The smallest catalog bound; ties resolve to the earliest entry."""
-    return tightest_report(catalog_reports(alpha, A, exponent_grid))
 
 
 def _probe_vector(x, dim: int) -> np.ndarray:

@@ -167,20 +167,18 @@ def verify_instance(alpha, A, tol: float = 1e-9, *, exponent_grid=None,
     gap = cbs_operator_gap(w, fam)
     gap_limit = PSD_TOL * max(1.0, gap.gap_norm)
     checks.append(CheckRecord("psd_gap", -gap.min_eigenvalue, gap_limit,
-                              gap.holds, bounds._slack(max(-gap.min_eigenvalue, 0.0), gap_limit)))
+                              gap.holds, bounds.slack_ratio(max(-gap.min_eigenvalue, 0.0), gap_limit)))
     inner_limit = PSD_TOL * max(1.0, gap.inner_norm)
     checks.append(CheckRecord("psd_gap_inner", -gap.inner_min_eigenvalue, inner_limit,
-                              gap.inner_holds, bounds._slack(max(-gap.inner_min_eigenvalue, 0.0), inner_limit)))
+                              gap.inner_holds, bounds.slack_ratio(max(-gap.inner_min_eigenvalue, 0.0), inner_limit)))
 
-    # same quantity the catalog dominates, so the assembled-sum norm is
-    # computed once and shared with every later check
-    ev = bounds._eval_operators(w, fam)
-    lhs = ev.lhs_sq
+    # the catalog's left side is the quantity the CBS norm check
+    # dominates, so the assembled-sum norm is computed once
+    reports = bounds.catalog_reports(w, fam, exponent_grid)
+    lhs = reports[0].lhs_sq
     rhs = float((np.abs(w) ** 2).sum()) * fam.sum_products_norm
-    checks.append(CheckRecord("cbs_norm", lhs, rhs, lhs <= rhs * (1.0 + 1e-9),
-                              bounds._slack(lhs, rhs)))
+    checks.append(CheckRecord("cbs_norm", lhs, rhs, lhs <= rhs * (1.0 + 1e-9), bounds.slack_ratio(lhs, rhs)))
 
-    reports = bounds._catalog(ev, exponent_grid)
     for rep in reports:
         holds = rep.lhs_sq <= rep.bound * (1.0 + tol)
         checks.append(CheckRecord(_check_name(rep), rep.lhs_sq, rep.bound, holds, rep.slack_ratio))
@@ -192,11 +190,11 @@ def verify_instance(alpha, A, tol: float = 1e-9, *, exponent_grid=None,
     probes.extend(prng.complex_normal(fam.dim) for _ in range(_PROBE_COUNT))
     for k, x in enumerate(probes):
         plhs, prhs, pok = bounds.vector_image_bound(w, fam, x, m)
-        checks.append(CheckRecord(f"image_probe_{k}", plhs, prhs, pok, bounds._slack(plhs, prhs)))
+        checks.append(CheckRecord(f"image_probe_{k}", plhs, prhs, pok, bounds.slack_ratio(plhs, prhs)))
     for k, x in enumerate(probes):
         y = probes[(k + 1) % len(probes)]
         blhs, brhs, bok = bounds.bilinear_bound(w, fam, x, y, m)
-        checks.append(CheckRecord(f"bilinear_probe_{k}", blhs, brhs, bok, bounds._slack(blhs, brhs)))
+        checks.append(CheckRecord(f"bilinear_probe_{k}", blhs, brhs, bok, bounds.slack_ratio(blhs, brhs)))
 
     worst = 0.0
     for c in checks:
@@ -221,8 +219,7 @@ def slack_sweep(specs, exponent_grid=None) -> list[tuple]:
     rows = []
     for spec in specs:
         weights, fam, _ = generate(spec)
-        ev = bounds._eval_operators(weights, fam)
-        for rep in bounds._catalog(ev, exponent_grid):
+        for rep in bounds.catalog_reports(weights, fam, exponent_grid):
             rows.append((spec.seed, spec.kind, spec.dim, spec.count,
                          rep.name, rep.exponents, rep.lhs_sq, rep.bound, rep.slack_ratio))
     return rows

@@ -24,21 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .bounds import (
-    BoundConfig,
-    BoundReport,
-    HolderPair,
-    ORTHOGONAL_TOL,
-    _catalog,
-    _cross_total,
-    _Eval,
-    _holder_count,
-    _l1_cross,
-    _l2_cross,
-    _master,
-    _max_terms,
-    _power_mean,
-)
+from .bounds import ORTHOGONAL_TOL, BoundReport, catalog_from_norm_data
 from .cbs import OperatorFamily, as_weights
 from .errors import DimensionMismatch, ZeroVector
 
@@ -125,43 +111,17 @@ def verify_identities(Y, tol: float = 1e-9) -> bool:
     return norm_dev <= tol and cross_dev <= tol
 
 
-def _eval_gram(alpha, Y, x_norm_sq: float) -> _Eval:
+def gram_catalog_reports(alpha, Y, x_norm_sq: float, exponent_grid=None,
+                         orthogonal_tol: float = ORTHOGONAL_TOL) -> list[BoundReport]:
+    """The full catalog on ||sum alpha_i (x, y_i) y_i / ||y_i||||^2, in
+    catalog order, computed from the Gram matrix only and scaled by
+    x_norm_sq = ||x||^2."""
     vf = as_vector_family(Y)
     w = as_weights(alpha, vf.count)
     if not (x_norm_sq >= 0.0 and np.isfinite(x_norm_sq)):
         raise ValueError(f"x_norm_sq must be finite and nonnegative, got {x_norm_sq}")
-    return _Eval(
-        np.abs(w),
-        vf.norms,
-        np.abs(vf.gram),
-        lambda: vf.weighted_sum_norm_sq(w),
-        scale=float(x_norm_sq),
-    )
-
-
-def gram_master_bound(alpha, Y, x_norm_sq: float, config: BoundConfig) -> BoundReport:
-    """The master bound on ||sum alpha_i (x, y_i) y_i / ||y_i||||^2,
-    computed from the Gram matrix only and scaled by ||x||^2."""
-    return _master(_eval_gram(alpha, Y, x_norm_sq), config)
-
-
-def particular_bounds(alpha, Y, x_norm_sq: float, pair: HolderPair, r: float) -> list[BoundReport]:
-    """The six named Gram-data bounds, in catalog order."""
-    ev = _eval_gram(alpha, Y, x_norm_sq)
-    return [
-        _cross_total(ev),
-        _holder_count(ev, pair),
-        _max_terms(ev),
-        _l2_cross(ev),
-        _l1_cross(ev),
-        _power_mean(ev, r),
-    ]
-
-
-def gram_catalog_reports(alpha, Y, x_norm_sq: float, exponent_grid=None,
-                         orthogonal_tol: float = ORTHOGONAL_TOL) -> list[BoundReport]:
-    """The full catalog evaluated on Gram data, in catalog order."""
-    return _catalog(_eval_gram(alpha, Y, x_norm_sq), exponent_grid, orthogonal_tol)
+    return catalog_from_norm_data(np.abs(w), vf.norms, np.abs(vf.gram), lambda: vf.weighted_sum_norm_sq(w),
+                                  exponent_grid, orthogonal_tol, scale=float(x_norm_sq))
 
 
 def bessel_weighting(Y) -> np.ndarray:

@@ -3,36 +3,25 @@ import pytest
 
 from opsumbounds import bounds
 from opsumbounds.bounds import (
-    MAX_CROSS,
-    MAX_NORM,
-    MAX_PAIR,
-    MAX_WEIGHT,
-    BoundConfig,
     HolderPair,
     bilinear_bound,
-    bound_holder_count,
-    bound_l1_cross,
-    bound_l2_cross,
-    bound_max_terms,
-    bound_orthogonal,
-    bound_power_mean,
+    catalog_from_norm_data,
     catalog_reports,
-    diag_term,
-    lhs_norm_sq,
-    master_bound,
-    offdiag_term,
-    tightest_bound,
     tightest_report,
     vector_image_bound,
 )
 from opsumbounds.cbs import OperatorFamily
-from opsumbounds.errors import DimensionMismatch, InvalidExponent, NotOrthogonalFamily
+from opsumbounds.errors import DimensionMismatch, InvalidExponent
 from opsumbounds.rng import PortableRng
 
 
 def _random_instance(seed, d, n):
     rng = PortableRng(seed)
     return rng.complex_normal(n), OperatorFamily(rng.complex_normal((n, d, d)))
+
+
+def _entry(reps, name, exponents=""):
+    return next(r for r in reps if r.name == name and r.exponents == exponents)
 
 
 def _projections(d):
@@ -52,7 +41,7 @@ def test_orthonormal_projections_hand_case():
     assert reps[0].lhs_sq == pytest.approx(1.0, abs=1e-12)
     # diag term 1 * (1 + 1) = 2, vanishing cross products kill the rest
     assert reps[0].bound == pytest.approx(2.0, abs=1e-12)
-    tight = tightest_bound([1.0, 1.0], fam)
+    tight = tightest_report(reps)
     assert tight.bound == pytest.approx(2.0, rel=1e-12)
     assert tight.slack_ratio == pytest.approx(2.0, rel=1e-10)
 
@@ -61,7 +50,7 @@ def test_single_point_grid_tightest():
     fam = _projections(2)
     reps = catalog_reports([1.0, 1.0], fam, exponent_grid=(2.0,))
     assert len(reps) == 18
-    tight = tightest_bound([1.0, 1.0], fam, exponent_grid=(2.0,))
+    tight = tightest_report(reps)
     # several cells tie at 2 up to roundoff; ties go to the earliest
     assert tight.name == "master:max_weight+max_pair"
     assert tight.bound == 2.0
@@ -70,29 +59,32 @@ def test_single_point_grid_tightest():
 def test_scaled_identity_hand_values():
     fam = OperatorFamily([np.eye(2), 2.0 * np.eye(2)])
     w = [2.0, 1.0]
-    assert lhs_norm_sq(w, fam) == pytest.approx(16.0, rel=1e-10)
-    rep = master_bound(w, fam, BoundConfig(MAX_WEIGHT, MAX_PAIR))
+    reps = catalog_reports(w, fam)
+    assert reps[0].lhs_sq == pytest.approx(16.0, rel=1e-10)
     # diag 4 * 5, off 2 * 4
-    assert rep.bound == pytest.approx(28.0, rel=1e-10)
-    assert bound_max_terms(w, fam).bound == pytest.approx(30.0, rel=1e-10)
-    assert bound_l1_cross(w, fam).bound == pytest.approx(40.0, rel=1e-10)
-    assert bounds.bound_cross_total(w, fam).bound == pytest.approx(36.0, rel=1e-10)
-    assert diag_term(w, fam, MAX_WEIGHT) == pytest.approx(20.0, rel=1e-10)
-    assert offdiag_term(w, fam, MAX_PAIR) == pytest.approx(8.0, rel=1e-10)
+    assert _entry(reps, "master:max_weight+max_pair").bound == pytest.approx(28.0, rel=1e-10)
+    assert _entry(reps, "max_terms").bound == pytest.approx(30.0, rel=1e-10)
+    assert _entry(reps, "l1_cross").bound == pytest.approx(40.0, rel=1e-10)
+    assert _entry(reps, "cross_total").bound == pytest.approx(36.0, rel=1e-10)
 
 
 def test_master_is_diag_plus_offdiag():
     w, fam = _random_instance(52, d=5, n=4)
-    for config in [
-        BoundConfig(MAX_WEIGHT, MAX_CROSS),
-        BoundConfig(HolderPair.conjugate(1.5), HolderPair.conjugate(3.0)),
-        BoundConfig(MAX_NORM, MAX_PAIR),
+    wa, na = np.abs(w), fam.norms
+    pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+    pw = np.array([wa[i] * wa[j] for i, j in pairs])
+    cross = np.array([fam.cross[i, j] for i, j in pairs])
+    reps = catalog_reports(w, fam)
+    for name, exponents, diag, offdiag in [
+        ("master:max_weight+max_cross", "",
+         wa.max() ** 2 * (na**2).sum(), pw.sum() * cross.max()),
+        ("master:holder+holder", "p=1.5,q=3;r=3,s=1.5",
+         (wa**3).sum() ** (2 / 3) * (na**6).sum() ** (1 / 3),
+         (pw**3).sum() ** (1 / 3) * (cross**1.5).sum() ** (1 / 1.5)),
+        ("master:max_norm+max_pair", "",
+         (wa**2).sum() * na.max() ** 2, pw.max() * cross.sum()),
     ]:
-        rep = master_bound(w, fam, config)
-        split = diag_term(w, fam, config.diag_choice) + offdiag_term(
-            w, fam, config.offdiag_choice
-        )
-        assert rep.bound == pytest.approx(split, rel=1e-12)
+        assert _entry(reps, name, exponents).bound == pytest.approx(diag + offdiag, rel=1e-12)
 
 
 # -- structural identities ---------------------------------------------------
@@ -115,7 +107,6 @@ def test_l2_cross_recaptures_power_mean_at_two():
     l2 = next(r for r in reps if r.name == "l2_cross")
     pm = next(r for r in reps if r.name == "power_mean_cross" and r.exponents == "r=2,s=2")
     assert l2.bound == pm.bound
-    assert bound_l2_cross(w, fam).bound == bound_power_mean(w, fam, 2.0).bound
 
 
 def test_every_catalog_entry_dominates_lhs():
@@ -154,9 +145,9 @@ def test_orthogonal_entries_appear_only_for_orthogonal_families():
         ["orthogonal:max_weight"] + ["orthogonal:holder"] * 5 + ["orthogonal:max_norm"]
     )
     w, dense = _random_instance(31, d=3, n=3)
-    assert len(catalog_reports(w, dense)) == 61
-    with pytest.raises(NotOrthogonalFamily):
-        bound_orthogonal(w, dense, MAX_WEIGHT)
+    dense_reps = catalog_reports(w, dense)
+    assert len(dense_reps) == 61
+    assert not any(r.name.startswith("orthogonal:") for r in dense_reps)
 
 
 def test_tightest_is_first_strict_minimum():
@@ -167,14 +158,12 @@ def test_tightest_is_first_strict_minimum():
         for rep in reps[1:]:
             if rep.bound < best.bound:
                 best = rep
-        tight = tightest_bound(w, fam)
-        assert tight.name == best.name and tight.bound == best.bound
         assert tightest_report(reps) is best
 
 
 def test_tightest_report_tie_breaking():
     def reps(*values):
-        return [bounds.BoundReport(f"b{i}", "", 1.0, v, None, v) for i, v in enumerate(values)]
+        return [bounds.BoundReport(f"b{i}", "", 1.0, v, v) for i, v in enumerate(values)]
 
     assert tightest_report(reps(3.0, 2.0, 2.0, 5.0)).name == "b1"
     assert tightest_report(reps(1.0, 1.0)).name == "b0"
@@ -232,21 +221,25 @@ def test_zero_weights_give_unit_slack():
 def test_invalid_exponents_raise():
     w, fam = _random_instance(5, d=2, n=2)
     with pytest.raises(InvalidExponent):
-        bound_power_mean(w, fam, 1.0)
-    with pytest.raises(InvalidExponent):
-        bound_power_mean(w, fam, 3.0)
+        catalog_reports(w, fam, exponent_grid=(1.0,))
     with pytest.raises(InvalidExponent):
         HolderPair(2.0, 3.0)
     with pytest.raises(InvalidExponent):
         HolderPair.conjugate(0.5)
     with pytest.raises(InvalidExponent):
-        BoundConfig("not_a_choice", MAX_PAIR)
-    with pytest.raises(InvalidExponent):
-        bound_holder_count(w, fam, HolderPair(np.inf, 1.0))
+        catalog_reports(w, fam, exponent_grid=(2.0, np.inf))
     with pytest.raises(InvalidExponent):
         catalog_reports(w, fam, exponent_grid=(1.0, 2.0))
     with pytest.raises(InvalidExponent):
         catalog_reports(w, fam, exponent_grid=(np.inf,))
+
+
+def test_bad_grid_is_rejected_before_the_left_side():
+    def lhs_sq():
+        raise AssertionError("left side solved for a bad grid")
+
+    with pytest.raises(InvalidExponent):
+        catalog_from_norm_data([1.0], [1.0], [[1.0]], lhs_sq, exponent_grid=(0.5,))
 
 
 def test_holder_pair_accepts_sentinel_limits():
@@ -271,7 +264,7 @@ def test_probe_bounds_hold_under_tightest():
     rng = PortableRng(77)
     for seed in range(15):
         w, fam = _random_instance(300 + seed, d=4, n=3)
-        m = tightest_bound(w, fam).bound
+        m = tightest_report(catalog_reports(w, fam)).bound
         x = rng.complex_normal(4)
         y = rng.complex_normal(4)
         lhs, rhs, ok = vector_image_bound(w, fam, x, m)
@@ -285,7 +278,7 @@ def test_bilinear_cauchy_schwarz_link():
     w, fam = _random_instance(12, d=3, n=2)
     x = PortableRng(13).complex_normal(3)
     img = np.einsum("i,iab,b->a", np.asarray(w), fam.ops, x)
-    m = tightest_bound(w, fam).bound
+    m = tightest_report(catalog_reports(w, fam)).bound
     lhs, _, _ = bilinear_bound(w, fam, x, img, m)
     image_lhs, _, _ = vector_image_bound(w, fam, x, m)
     assert lhs == pytest.approx(image_lhs**2, rel=1e-9)

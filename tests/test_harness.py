@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from opsumbounds.bounds import tightest_bound
+from opsumbounds.bounds import catalog_reports, tightest_report
 from opsumbounds.errors import InvalidSpec
 from opsumbounds.harness import (
     CSV_HEADER,
@@ -136,7 +136,7 @@ def test_sweep_shape_and_order():
     # per-instance minimum of the sweep equals the tightest report
     for spec, start, size in [(specs[0], 0, 61), (specs[1], 61, 61)]:
         w, fam, _ = generate(spec)
-        tight = tightest_bound(w, fam).bound
+        tight = tightest_report(catalog_reports(w, fam)).bound
         assert min(r[7] for r in rows[start : start + size]) == tight
 
 

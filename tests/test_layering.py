@@ -1,0 +1,53 @@
+"""Modules of the package use only each other's public names."""
+
+import ast
+from pathlib import Path
+
+import opsumbounds
+
+PACKAGE = Path(opsumbounds.__file__).resolve().parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _sibling(module, level: int):
+    """The sibling module an import refers to, or None."""
+    if level == 1 and module in MODULES:
+        return module
+    if level == 0 and module and module.startswith("opsumbounds."):
+        rest = module[len("opsumbounds."):]
+        return rest if rest in MODULES else None
+    return None
+
+
+def _violations(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    aliases = set()  # local names bound to sibling modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            sibling = _sibling(node.module, node.level)
+            package = (node.level == 1 and node.module is None) or (node.level == 0 and node.module == "opsumbounds")
+            for alias in node.names:
+                if package and alias.name in MODULES:
+                    aliases.add(alias.asname or alias.name)
+                elif (sibling or package) and _private(alias.name):
+                    found.append(f"{path.name}:{node.lineno} imports {alias.name} from {sibling or 'the package'}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and _sibling(alias.name, 0):
+                    aliases.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _private(node.attr)):
+            found.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_a_sibling_private_name():
+    found = [v for path in sorted(PACKAGE.glob("*.py")) for v in _violations(path)]
+    assert MODULES >= {"bounds", "harness", "vectors"}
+    assert found == []

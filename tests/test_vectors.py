@@ -1,34 +1,26 @@
 import numpy as np
 import pytest
 
-from opsumbounds.bounds import (
-    MAX_CROSS,
-    MAX_NORM,
-    MAX_PAIR,
-    MAX_WEIGHT,
-    BoundConfig,
-    HolderPair,
-    catalog_reports,
-    lhs_norm_sq,
-    master_bound,
-)
+from opsumbounds.bounds import catalog_reports
 from opsumbounds.errors import DimensionMismatch, ZeroVector
 from opsumbounds.rng import PortableRng
 from opsumbounds.vectors import (
     VectorFamily,
     bessel_weighting,
     gram_catalog_reports,
-    gram_master_bound,
-    particular_bounds,
     rank_one_family,
     verify_identities,
 )
 
-_CONFIGS = [
-    BoundConfig(MAX_WEIGHT, MAX_PAIR),
-    BoundConfig(HolderPair.conjugate(2.0), HolderPair.conjugate(1.5)),
-    BoundConfig(MAX_NORM, MAX_CROSS),
+_MASTER_ENTRIES = [
+    ("master:max_weight+max_pair", ""),
+    ("master:holder+holder", "p=2,q=2;r=1.5,s=3"),
+    ("master:max_norm+max_cross", ""),
 ]
+
+
+def _entry(reps, name, exponents=""):
+    return next(r for r in reps if r.name == name and r.exponents == exponents)
 
 
 def _random_vectors(seed, d, n):
@@ -65,16 +57,17 @@ def test_family_validation():
 def test_gram_lhs_matches_materialized_operators():
     for seed in (1, 2, 3, 4):
         w, vf = _random_vectors(seed, d=5, n=4)
-        direct = lhs_norm_sq(w, rank_one_family(vf))
+        direct = catalog_reports(w, rank_one_family(vf))[0].lhs_sq
         assert vf.weighted_sum_norm_sq(w) == pytest.approx(direct, rel=1e-9)
 
 
 def test_gram_master_agrees_with_matrix_route():
     w, vf = _random_vectors(42, d=6, n=4)
-    fam = rank_one_family(vf)
-    for config in _CONFIGS:
-        gram_rep = gram_master_bound(w, vf, 1.0, config)
-        mat_rep = master_bound(w, fam, config)
+    gram_reps = gram_catalog_reports(w, vf, 1.0)
+    mat_reps = catalog_reports(w, rank_one_family(vf))
+    for entry in _MASTER_ENTRIES:
+        gram_rep = _entry(gram_reps, *entry)
+        mat_rep = _entry(mat_reps, *entry)
         assert gram_rep.bound == pytest.approx(mat_rep.bound, rel=1e-9)
         assert gram_rep.lhs_sq == pytest.approx(mat_rep.lhs_sq, rel=1e-9)
 
@@ -98,20 +91,20 @@ def test_probe_norm_scale_multiplies_bounds():
     with pytest.raises(ValueError):
         gram_catalog_reports(w, vf, -1.0)
     with pytest.raises(ValueError):
-        gram_master_bound(w, vf, np.inf, _CONFIGS[0])
+        gram_catalog_reports(w, vf, np.inf)
 
 
 def test_particular_bounds_orthonormal_basis():
     n = 4
     a = np.ones(n)
-    reps = particular_bounds(a, np.eye(n), 3.0, HolderPair.conjugate(2.0), 1.5)
-    assert [r.name for r in reps] == [
-        "cross_total",
-        "holder_count",
-        "max_terms",
-        "l2_cross",
-        "l1_cross",
-        "power_mean_cross",
+    catalog = gram_catalog_reports(a, np.eye(n), 3.0, exponent_grid=(1.5, 2.0))
+    reps = [
+        _entry(catalog, "cross_total"),
+        _entry(catalog, "holder_count", "p=2,q=2"),
+        _entry(catalog, "max_terms"),
+        _entry(catalog, "l2_cross", "r=2,s=2"),
+        _entry(catalog, "l1_cross"),
+        _entry(catalog, "power_mean_cross", "r=1.5,s=3"),
     ]
     # unit gram: every bracket collapses to 1 and each bound is n ||x||^2
     for rep in reps:
@@ -122,7 +115,15 @@ def test_particular_bounds_single_vector():
     y = np.array([1.0 + 2.0j, 0.5])
     xns = 1.75
     expected = xns * abs(3.0 - 1.0j) ** 2 * float((np.abs(y) ** 2).sum())
-    for rep in particular_bounds([3.0 - 1.0j], [y], xns, HolderPair.conjugate(3.0), 2.0):
+    catalog = gram_catalog_reports([3.0 - 1.0j], [y], xns, exponent_grid=(2.0, 3.0))
+    for rep in [
+        _entry(catalog, "cross_total"),
+        _entry(catalog, "holder_count", "p=3,q=1.5"),
+        _entry(catalog, "max_terms"),
+        _entry(catalog, "l2_cross", "r=2,s=2"),
+        _entry(catalog, "l1_cross"),
+        _entry(catalog, "power_mean_cross", "r=2,s=2"),
+    ]:
         assert rep.bound == pytest.approx(expected, rel=1e-9), rep.name
 
 
