@@ -110,9 +110,22 @@ def _parse_stack(doc, key: str, inner: tuple, items: str) -> np.ndarray:
     return _parse_array(node, (len(node),) + inner, key)
 
 
+def _unique_keys(pairs) -> dict:
+    """An object_pairs_hook that rejects a repeated key instead of
+    keeping its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def loads_problem(text: str) -> ProblemFile:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

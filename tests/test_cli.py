@@ -100,6 +100,11 @@ def test_bad_inputs_exit_2(ops_file, tmp_path, capsys):
                     '"operators": [[[[1,0]]]]}', encoding="utf-8")
     assert main(["bound", "--input", str(huge)]) == 2
     assert main(["verify", "--input", str(huge)]) == 2
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('{"schema_version":"1","dim":1,"weights":[[5,0]],"operators":[[[[1,0]]]],'
+                        '"weights":[[1,0]]}', encoding="utf-8")
+    assert main(["bound", "--input", str(repeated)]) == 2
+    assert main(["verify", "--input", str(repeated)]) == 2
     assert main(["bound", "--input", ops_file, "--mode", "vectors"]) == 2
     assert main(["bound", "--input", ops_file, "--grid", "zzz"]) == 2
     assert main(["verify", "--kind", "GaussianDense", "--dim", "4", "--count", "3",

@@ -81,6 +81,8 @@ def test_parse_error_on_bad_json():
         # operators one level too shallow, and one too deep
         '{"schema_version": "1", "dim": 2, "weights": [[1,0]], "operators": [[[1,0],[0,0]]]}',
         '{"schema_version": "1", "dim": 1, "weights": [[1,0]], "operators": [[[[[1,0]]]]]}',
+        # a repeated key would otherwise keep its last value
+        '{"schema_version":"1","dim":1,"weights":[[5,0]],"operators":[[[[1,0]]]],"weights":[[1,0]]}',
     ],
 )
 def test_schema_violations(text):
