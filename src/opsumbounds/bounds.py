@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +75,7 @@ class HolderPair:
         return cls(p, p / (p - 1.0))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     name: str
     exponents: str
     lhs_sq: float
@@ -90,30 +90,13 @@ def slack_ratio(lhs_sq: float, bound: float) -> float:
     return bound / lhs_sq
 
 
-def _pow2_scale(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Nonnegative values divided by 2^e, with e the binary exponent of
-    the largest one, and e.
-
-    The division is exact, so an aggregate of the scaled values, scaled
-    back with np.ldexp, is the aggregate of the values wherever it is
-    representable, while the powers that make it up can no longer
-    overflow, nor underflow at the values' own scale (Blue's scaled sum,
-    ACM TOMS 4, 1978).
-    """
-    e = int(np.frexp(values.max())[1])
-    return np.ldexp(values, -e), e
-
-
 def _lp_aggregate(values: np.ndarray, p: float) -> float:
     """(sum v^(2p))^(1/p); p = inf gives the limit (max v)^2."""
-    u, e = _pow2_scale(values)
     if p == _INF:
-        agg = float(u.max()) ** 2
-    elif p == 1.0:
-        agg = float((u**2).sum())
-    else:
-        agg = float((u ** (2.0 * p)).sum()) ** (1.0 / p)
-    return float(np.ldexp(agg, 2 * e))
+        return float(values.max()) ** 2
+    if p == 1.0:
+        return float((values**2).sum())
+    return float((values ** (2.0 * p)).sum()) ** (1.0 / p)
 
 
 def _pair_weight(wa: np.ndarray, r: float) -> float:
@@ -130,25 +113,39 @@ def _pair_weight(wa: np.ndarray, r: float) -> float:
             return 0.0
         top = np.partition(wa, n - 2)[n - 2 :]
         return float(top[0]) * float(top[1])
-    u, e = _pow2_scale(wa)
-    s1 = float((u**r).sum())
-    s2 = float((u ** (2.0 * r)).sum())
+    s1 = float((wa**r).sum())
+    s2 = float((wa ** (2.0 * r)).sum())
     inside = s1 * s1 - s2
     if inside <= 0.0:
         return 0.0
-    return float(np.ldexp(inside ** (1.0 / r) if r != 1.0 else inside, 2 * e))
+    return inside ** (1.0 / r) if r != 1.0 else inside
 
 
 def _cross_aggregate(off: np.ndarray, s: float) -> float:
     """(sum_{i != j} cross^s)^(1/s); s = inf gives max_{i != j}."""
-    u, e = _pow2_scale(off)
     if s == _INF:
-        agg = float(u.max())
-    elif s == 1.0:
-        agg = float(u.sum())
-    else:
-        agg = float((u**s).sum()) ** (1.0 / s)
-    return float(np.ldexp(agg, e))
+        return float(off.max())
+    if s == 1.0:
+        return float(off.sum())
+    return float((off**s).sum()) ** (1.0 / s)
+
+
+def _scaled_aggregates(aggregate, values: np.ndarray, exponents, degree: int) -> dict:
+    """{x: aggregate(values, x)} for each distinct exponent x, computed on
+    values / 2^e and scaled back by 2^(degree e), with e the binary
+    exponent of the largest value and degree the aggregate's homogeneity
+    degree.
+
+    Dividing by a power of two is exact, so the results are right
+    wherever they are representable, while the powers inside the
+    aggregates can no longer overflow, nor underflow at the values' own
+    scale (the scaled sum of Blue, ACM TOMS 4, 1978).
+    """
+    e = int(np.frexp(values.max())[1])
+    unit = np.ldexp(values, -e)
+    exponents = list(dict.fromkeys(exponents))
+    scaled = np.ldexp([aggregate(unit, x) for x in exponents], degree * e)
+    return dict(zip(exponents, scaled.tolist()))
 
 
 def _validated_grid(exponent_grid) -> tuple[float, ...]:
@@ -209,10 +206,10 @@ def catalog_from_norm_data(abs_weights, norms, cross, lhs_sq, exponent_grid=None
     np.fill_diagonal(off, 0.0)
     n = wa.size
 
-    lw = {p: _lp_aggregate(wa, p) for p in {p for p, _ in pairs}}
-    ln = {q: _lp_aggregate(na, q) for q in {q for _, q in pairs}}
-    pw = {r: _pair_weight(wa, r) for r in {r for r, _ in pairs}}
-    xa = {s: _cross_aggregate(off, s) for s in {s for _, s in pairs} | {2.0}}
+    lw = _scaled_aggregates(_lp_aggregate, wa, (p for p, _ in pairs), 2)
+    ln = _scaled_aggregates(_lp_aggregate, na, (q for _, q in pairs), 2)
+    pw = _scaled_aggregates(_pair_weight, wa, (r for r, _ in pairs), 2)
+    xa = _scaled_aggregates(_cross_aggregate, off, [s for _, s in pairs] + [2.0], 1)
     diag = np.array([lw[p] * ln[q] for p, q in pairs])
     offdiag = np.array([pw[r] * xa[s] for r, s in pairs])
 
