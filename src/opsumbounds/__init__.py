@@ -34,7 +34,6 @@ from .errors import (
     InvalidSpec,
     NoConvergence,
     NotHermitian,
-    NotOrthogonalFamily,
     ParseError,
     SchemaError,
     ZeroVector,
@@ -89,7 +88,6 @@ __all__ = [
     "KINDS",
     "NoConvergence",
     "NotHermitian",
-    "NotOrthogonalFamily",
     "OperatorFamily",
     "ParseError",
     "ProblemFile",

@@ -27,11 +27,6 @@ class InvalidExponent(ValueError):
     """An exponent pair does not satisfy the conjugacy requirements."""
 
 
-class NotOrthogonalFamily(ValueError):
-    """A bound that needs vanishing cross products was asked for a family
-    whose cross products do not vanish."""
-
-
 class ZeroVector(ValueError):
     """A vector family contains a zero vector."""
 

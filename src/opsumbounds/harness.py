@@ -177,7 +177,8 @@ def verify_instance(alpha, A, tol: float = 1e-9, *, exponent_grid=None,
     reports = bounds.catalog_reports(w, fam, exponent_grid)
     lhs = reports[0].lhs_sq
     rhs = float((np.abs(w) ** 2).sum()) * fam.sum_products_norm
-    checks.append(CheckRecord("cbs_norm", lhs, rhs, lhs <= rhs * (1.0 + 1e-9), bounds.slack_ratio(lhs, rhs)))
+    checks.append(CheckRecord("cbs_norm", lhs, rhs, lhs <= rhs * (1.0 + 1e-9),
+                              bounds.slack_ratio(lhs, rhs)))
 
     for rep in reports:
         holds = rep.lhs_sq <= rep.bound * (1.0 + tol)

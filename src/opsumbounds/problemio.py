@@ -113,13 +113,11 @@ def _parse_stack(doc, key: str, inner: tuple, items: str) -> np.ndarray:
 def _unique_keys(pairs) -> dict:
     """An object_pairs_hook that rejects a repeated key instead of
     keeping its last value."""
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise SchemaError(f"repeated key {key!r}")
-            seen.add(key)
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SchemaError(f"repeated key {key!r}")
+        doc[key] = value
     return doc
 
 
