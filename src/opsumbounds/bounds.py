@@ -130,24 +130,6 @@ def _cross_aggregate(off: np.ndarray, s: float) -> float:
     return float((off**s).sum()) ** (1.0 / s)
 
 
-def _scaled_aggregates(aggregate, values: np.ndarray, exponents, degree: int) -> dict:
-    """{x: aggregate(values, x)} for each distinct exponent x, computed on
-    values / 2^e and scaled back by 2^(degree e), with e the binary
-    exponent of the largest value and degree the aggregate's homogeneity
-    degree.
-
-    Dividing by a power of two is exact, so the results are right
-    wherever they are representable, while the powers inside the
-    aggregates can no longer overflow, nor underflow at the values' own
-    scale (the scaled sum of Blue, ACM TOMS 4, 1978).
-    """
-    e = int(np.frexp(values.max())[1])
-    unit = np.ldexp(values, -e)
-    exponents = list(dict.fromkeys(exponents))
-    scaled = np.ldexp([aggregate(unit, x) for x in exponents], degree * e)
-    return dict(zip(exponents, scaled.tolist()))
-
-
 def _validated_grid(exponent_grid) -> tuple[float, ...]:
     if exponent_grid is None:
         return DEFAULT_GRID
@@ -206,10 +188,10 @@ def catalog_from_norm_data(abs_weights, norms, cross, lhs_sq, exponent_grid=None
     np.fill_diagonal(off, 0.0)
     n = wa.size
 
-    lw = _scaled_aggregates(_lp_aggregate, wa, (p for p, _ in pairs), 2)
-    ln = _scaled_aggregates(_lp_aggregate, na, (q for _, q in pairs), 2)
-    pw = _scaled_aggregates(_pair_weight, wa, (r for r, _ in pairs), 2)
-    xa = _scaled_aggregates(_cross_aggregate, off, [s for _, s in pairs] + [2.0], 1)
+    lw = {p: _lp_aggregate(wa, p) for p in {p for p, _ in pairs}}
+    ln = {q: _lp_aggregate(na, q) for q in {q for _, q in pairs}}
+    pw = {r: _pair_weight(wa, r) for r in {r for r, _ in pairs}}
+    xa = {s: _cross_aggregate(off, s) for s in {s for _, s in pairs} | {2.0}}
     diag = np.array([lw[p] * ln[q] for p, q in pairs])
     offdiag = np.array([pw[r] * xa[s] for r, s in pairs])
 
