@@ -16,7 +16,6 @@ from .bounds import (
     bilinear_bound,
     catalog_from_norm_data,
     catalog_reports,
-    slack_ratio,
     tightest_report,
     vector_image_bound,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "load_problem",
     "loads_problem",
     "rank_one_family",
-    "slack_ratio",
     "slack_sweep",
     "spectral_norm",
     "spectral_norms",
