@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .cbs import as_family, as_weights
 from .errors import DimensionMismatch, InvalidExponent
 
@@ -220,18 +219,14 @@ def catalog_from_norm_data(abs_weights, norms, cross, lhs_sq, exponent_grid=None
 
 
 def catalog_reports(alpha, A, exponent_grid=None, orthogonal_tol: float = ORTHOGONAL_TOL) -> list[BoundReport]:
-    """Every catalog bound on one instance, in fixed catalog order."""
+    """Every catalog bound on one instance, in fixed catalog order.  The grid
+    is checked before anything is solved; the left side then shares the
+    family's norm pass (OperatorFamily.weighted_sum_norm)."""
     fam = as_family(A)
     w = as_weights(alpha, fam.count)
-
-    def lhs_sq():
-        # the batch route falls back to the eigen-decomposition when the
-        # assembled sum has a nearly degenerate top pair; random
-        # ensembles do hit such instances
-        s = np.einsum("i,iab->ab", w, fam.ops)
-        return float(linalg.spectral_norms(s[None])[0]) ** 2
-
-    return catalog_from_norm_data(np.abs(w), fam.norms, fam.cross, lhs_sq, exponent_grid, orthogonal_tol)
+    grid = _validated_grid(exponent_grid)
+    lhs_sq = fam.weighted_sum_norm(w) ** 2
+    return catalog_from_norm_data(np.abs(w), fam.norms, fam.cross, lambda: lhs_sq, grid, orthogonal_tol)
 
 
 def tightest_report(reports) -> BoundReport:

@@ -39,7 +39,8 @@ class OperatorFamily:
     The norm caches exist because the whole point of the bound catalog
     is to avoid touching the assembled sum: every bound is arithmetic
     over ||A_i|| and ||A_i A_j^*||, so those are computed once, in one
-    batched power-iteration pass, on first use.
+    batched power-iteration pass, on first use; ||sum z_i A_i|| rides in
+    that pass as one more slice when it comes first (weighted_sum_norm).
     """
 
     def __init__(self, ops):
@@ -73,20 +74,32 @@ class OperatorFamily:
         """The matrix sum A_1 A_1^* + ... + A_n A_n^*."""
         return np.einsum("iab,icb->ac", self.ops, self.ops.conj())
 
-    @cached_property
-    def _norm_data(self):
+    def _norm_pass(self, extra: np.ndarray):
+        """(norm data, norms of extra's slices) from one spectral_norms call; each
+        slice is solved on its own, so extra changes no bit of the norm data."""
         n = self.count
         # ||A_i A_j^*|| = ||A_j A_i^*|| (adjoint invariance), so only the
         # upper triangle goes through the norm computation
         iu, ju = np.triu_indices(n)
         pairs = np.einsum("kab,kcb->kac", self.ops[iu], self.ops.conj()[ju])
-        stacked = np.concatenate([pairs, self.ops, self.sum_products[None]])
-        values = linalg.spectral_norms(stacked)
+        values = linalg.spectral_norms(np.concatenate([pairs, self.ops, self.sum_products[None], extra]))
         cross = np.zeros((n, n))
         cross[iu, ju] = values[: iu.size]
         cross[ju, iu] = values[: iu.size]
-        norms = values[iu.size : iu.size + n]
-        return norms, cross, float(values[-1])
+        m = iu.size + n
+        return (values[iu.size : m], cross, float(values[m])), values[m + 1 :]
+
+    @cached_property
+    def _norm_data(self):
+        return self._norm_pass(self.ops[:0])[0]
+
+    def weighted_sum_norm(self, z) -> float:
+        """||sum z_i A_i||, solved in the norm-data pass if that is not cached yet."""
+        s = self.weighted_sum(z)[None]
+        if "_norm_data" in self.__dict__:
+            return float(linalg.spectral_norms(s)[0])
+        self._norm_data, values = self._norm_pass(s)
+        return float(values[0])
 
     @property
     def norms(self) -> np.ndarray:
@@ -169,7 +182,6 @@ def cbs_norm_check(z, A) -> tuple[float, float, bool]:
     rhs = (sum |z_i|^2) ||sum A_i A_i^*||."""
     fam = as_family(A)
     w = as_weights(z, fam.count)
-    s = np.einsum("i,iab->ab", w, fam.ops)
-    lhs = float(linalg.spectral_norms(s[None])[0]) ** 2
+    lhs = fam.weighted_sum_norm(w) ** 2
     rhs = float((np.abs(w) ** 2).sum()) * fam.sum_products_norm
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)

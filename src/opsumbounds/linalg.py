@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,12 +41,15 @@ class SpectralNormResult:
     residual: float
 
 
+@lru_cache(maxsize=64)
 def _perturbation(k: int) -> np.ndarray:
     # Fixed direction with irrational entry pattern; used both to confirm
-    # convergence and to escape kernel-trapped iterates.
+    # convergence and to escape kernel-trapped iterates; cached, read-only.
     j = np.arange(k)
     p = np.sin(3.0 * j + 1.0) + 1j * np.cos(5.0 * j + 2.0)
-    return p / np.linalg.norm(p)
+    p = p / np.linalg.norm(p)
+    p.flags.writeable = False
+    return p
 
 
 def _pow2_scale(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -242,6 +242,18 @@ def test_bad_grid_is_rejected_before_the_left_side():
         catalog_from_norm_data([1.0], [1.0], [[1.0]], lhs_sq, exponent_grid=(0.5,))
 
 
+def test_bad_grid_is_rejected_before_any_norm_is_solved(monkeypatch):
+    from opsumbounds import linalg
+
+    def never(*args, **kwargs):
+        raise AssertionError("norms solved for a bad grid")
+
+    w, fam = _random_instance(6, d=3, n=3)
+    monkeypatch.setattr(linalg, "spectral_norms", never)
+    with pytest.raises(InvalidExponent):
+        catalog_reports(w, fam, exponent_grid=(0.5,))
+
+
 def test_holder_pair_accepts_sentinel_limits():
     assert HolderPair(np.inf, 1.0).p == np.inf
     assert HolderPair(1.0, np.inf).q == np.inf

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opsumbounds import linalg
+from opsumbounds import bounds, linalg
 from opsumbounds.cbs import OperatorFamily, as_weights, cbs_norm_check, cbs_operator_gap
 from opsumbounds.errors import DimensionMismatch
 from opsumbounds.rng import PortableRng
@@ -126,3 +126,54 @@ def test_gap_psd_verdict_uses_relative_scale():
     w, fam = _random_instance(17, d=4, n=3)
     big = OperatorFamily(fam.ops * 1e6)
     assert cbs_operator_gap(np.asarray(w) * 1e3, big).holds
+
+
+def _count_norm_calls(monkeypatch):
+    calls = []
+    solve = linalg.spectral_norms
+
+    def counted(ms, *args, **kwargs):
+        calls.append(len(ms))
+        return solve(ms, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "spectral_norms", counted)
+    return calls
+
+
+def test_catalog_left_side_shares_the_norm_pass(monkeypatch):
+    n = 4
+    w, fam = _random_instance(77, d=5, n=n)
+    fresh = OperatorFamily(fam.ops)
+    expected = fresh.norms, fresh.cross, fresh.sum_products_norm
+    calls = _count_norm_calls(monkeypatch)
+    first = bounds.catalog_reports(w, fam)
+    assert calls == [n * (n + 1) // 2 + n + 2]
+    # cached norm data: only the assembled sum is solved
+    again = bounds.catalog_reports(2.0 * w, fam)
+    assert calls[1:] == [1]
+    # the cached norm data is read without a further solve, and carries
+    # the bits of a pass without the left side
+    assert fam.norms.tobytes() == expected[0].tobytes()
+    assert fam.cross.tobytes() == expected[1].tobytes()
+    assert fam.sum_products_norm == expected[2]
+    assert len(calls) == 2
+    alone = float(np.linalg.norm(fam.weighted_sum(w), 2)) ** 2
+    assert first[0].lhs_sq == pytest.approx(alone, rel=1e-10)
+    assert again[0].lhs_sq == pytest.approx(4.0 * first[0].lhs_sq, rel=1e-12)
+
+
+def test_weighted_sum_norm_is_bitwise_route_independent():
+    w, fam = _random_instance(78, d=4, n=3)
+    merged = OperatorFamily(fam.ops).weighted_sum_norm(w)
+    fam.norms  # cache the norm data first: the sum is then solved alone
+    assert fam.weighted_sum_norm(w) == merged
+    assert merged == float(linalg.spectral_norms(fam.weighted_sum(w)[None])[0])
+
+
+def test_norm_check_takes_its_left_side_from_the_norm_pass(monkeypatch):
+    w, fam = _random_instance(79, d=3, n=3)
+    reports = bounds.catalog_reports(w, OperatorFamily(fam.ops))
+    calls = _count_norm_calls(monkeypatch)
+    lhs, rhs, ok = cbs_norm_check(w, fam)
+    assert calls == [3 * 4 // 2 + 3 + 2]
+    assert ok and lhs == reports[0].lhs_sq

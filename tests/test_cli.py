@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from opsumbounds.cli import main
-from opsumbounds.harness import InstanceSpec, generate, slack_sweep, write_slack_csv
+from opsumbounds.harness import KINDS, InstanceSpec, generate, slack_sweep, write_slack_csv
 from opsumbounds.problemio import ProblemFile, write_problem
 from opsumbounds.rng import PortableRng
 
@@ -149,6 +150,17 @@ def test_nonconvergence_exits_3(ops_file, capsys, monkeypatch):
     assert "error" in capsys.readouterr().err
 
 
+def test_bad_grid_exits_2_before_any_norm_is_solved(ops_file, capsys, monkeypatch):
+    from opsumbounds import linalg
+
+    def never(*args, **kwargs):
+        raise AssertionError("norms solved for a bad grid")
+
+    monkeypatch.setattr(linalg, "spectral_norms", never)
+    assert main(["bound", "--input", ops_file, "--grid", "0.5"]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
 def test_sweep_matches_library_output(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--kind", "GaussianDense,OrthonormalRankOne",
@@ -184,4 +196,51 @@ def test_sweep_rejects_bad_arguments(tmp_path, capsys):
                  "--seed", "abc", "--out", out]) == 2
     assert main(["sweep", "--kind", "NoSuchKind", "--dim", "3", "--count", "2",
                  "--seed", "0", "--out", out]) == 2
+    capsys.readouterr()
+
+
+# exit code and sha256 of each report on fixed inputs: performance work
+# must leave every byte of the output alone.  The digests pin this
+# platform's floating point (x86-64, numpy 2.4 with its bundled
+# OpenBLAS): another BLAS build may round differently.
+FROZEN_DIGESTS = {
+    "bound:operators": (0, "ccbb49b972dc2f3ec0e9adae351af18241e3dd189ebe4f2a736308bc158b3b10"),
+    "bound:vectors": (0, "ae2095be2df924a7c22642caa770628081c788a998ec9db0c1a625b89270ff08"),
+    "bound:vectors_weighted": (0, "4ec285b57064629aa32562fd8f4df7ba8314b362491db4135e7db377c614012a"),
+    "verify:GaussianDense": (0, "2c1f9e88689aaf628350b0a3c4811c421cf381113bde29507fc621078820af3b"),
+    "verify:UnitaryScaled": (0, "cb236a33c325e5eef16de7495f72616743979b3de8ebf2cece256a142644dbd8"),
+    "verify:RankOneFromVectors": (0, "4a430c483c7135665444e682c7ccdfd2166ff9d1891f6f5d70e2039c166c3384"),
+    "verify:BlockOrthogonal": (0, "5a6f5a31f9e9fbf523b4e5d4ce4370ceeeef929887d45e5148f57f1f64d75a80"),
+    "verify:OrthonormalRankOne": (0, "ee011ebd88f671afc7a6c1e31a934e6ff8500b36c22aa3d3a3964bb4750a0695"),
+    "sweep": (0, "02b81ba3d9e0c34ceb23a836b316490c8e0fdba946185b923fefd87aabf1ff73"),
+}
+
+
+def _frozen_outputs(tmp_path):
+    w, fam, _ = generate(InstanceSpec("GaussianDense", 5, 4, 3))
+    vecs = PortableRng(4).complex_normal((5, 6))
+    files = {
+        "operators": ProblemFile("1", 5, w, fam.ops, None),
+        "vectors": ProblemFile("1", 6, None, None, vecs),
+        "vectors_weighted": ProblemFile("1", 6, PortableRng(5).complex_normal(5), None, vecs),
+    }
+    runs = {}
+    for name, pf in files.items():
+        path = tmp_path / f"{name}.json"
+        write_problem(pf, path)
+        runs[f"bound:{name}"] = ["bound", "--input", str(path)]
+    for kind in KINDS:
+        runs[f"verify:{kind}"] = ["verify", "--kind", kind, "--dim", "6", "--count", "4", "--seed", "2"]
+    runs["sweep"] = ["sweep", "--kind", "GaussianDense,BlockOrthogonal,RankOneFromVectors",
+                     "--dim", "4", "--count", "3", "--seed", "0:2"]
+    digests = {}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name.replace(':', '_')}.out"
+        code = main(argv + ["--out", str(out)])
+        digests[name] = (code, hashlib.sha256(out.read_bytes()).hexdigest())
+    return digests
+
+
+def test_frozen_report_digests(tmp_path, capsys):
+    assert _frozen_outputs(tmp_path) == FROZEN_DIGESTS
     capsys.readouterr()

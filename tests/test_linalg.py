@@ -250,3 +250,31 @@ def test_spectral_norms_batches_two_jacobi_fallbacks():
     for i in range(4):
         expected = float(np.linalg.svd(stack[i], compute_uv=False)[0])
         assert abs(values[i] - expected) <= 1e-10 * expected, i
+
+
+def test_spectral_norms_concatenated_stack_is_bitwise_per_part():
+    # the family's norm pass appends the catalog's left side to its own
+    # stack, which is only sound if no slice depends on its companions:
+    # the Jacobi fallback, a zero slice, scales 1e-150..1e150, and slices
+    # that finish at different iteration counts all share one stack here
+    rng = PortableRng(4242)
+    spread = rng.complex_normal((6, 3, 3)) * (10.0 ** np.linspace(-150, 150, 6))[:, None, None]
+    parts = [
+        spread,
+        np.diag([1.0, 1.0 - 1e-9, 0.25]).astype(np.complex128)[None],
+        np.zeros((1, 3, 3), dtype=np.complex128),
+        rng.complex_normal((3, 3, 3)),
+        rng.complex_normal((1, 3, 3)),
+    ]
+    merged = linalg.spectral_norms(np.concatenate(parts))
+    separate = np.concatenate([linalg.spectral_norms(part) for part in parts])
+    assert merged.tobytes() == separate.tobytes()
+    singles = np.concatenate([linalg.spectral_norms(m[None]) for m in np.concatenate(parts)])
+    assert merged.tobytes() == singles.tobytes()
+
+
+def test_perturbation_is_cached_and_read_only():
+    p = linalg._perturbation(5)
+    assert linalg._perturbation(5) is p
+    assert not p.flags.writeable
+    assert np.linalg.norm(p) == pytest.approx(1.0, rel=1e-15)
