@@ -12,7 +12,6 @@ output.
 
 from .bounds import (
     BoundReport,
-    HolderPair,
     bilinear_bound,
     catalog_from_norm_data,
     catalog_reports,
@@ -24,7 +23,6 @@ from .cbs import (
     PsdGapResult,
     as_family,
     as_weights,
-    cbs_norm_check,
     cbs_operator_gap,
 )
 from .errors import (
@@ -80,7 +78,6 @@ __all__ = [
     "CSV_HEADER",
     "CheckRecord",
     "DimensionMismatch",
-    "HolderPair",
     "InstanceSpec",
     "InvalidExponent",
     "InvalidSpec",
@@ -104,7 +101,6 @@ __all__ = [
     "bilinear_bound",
     "catalog_from_norm_data",
     "catalog_reports",
-    "cbs_norm_check",
     "cbs_operator_gap",
     "derive_seed",
     "emit_problem",

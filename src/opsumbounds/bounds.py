@@ -23,7 +23,6 @@ contributions count twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -41,37 +40,6 @@ MAX_PAIR = "max_pair"
 MAX_CROSS = "max_cross"
 
 _INF = math.inf
-
-
-@dataclass(frozen=True)
-class HolderPair:
-    """Conjugate exponents 1/p + 1/q = 1.
-
-    The sentinel pairs (inf, 1) and (1, inf) stand for the max-based
-    limiting cases and are accepted everywhere a pair is.
-    """
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        p, q = self.p, self.q
-        if (p == _INF and q == 1.0) or (p == 1.0 and q == _INF):
-            return
-        if p > 1.0 and q > 1.0 and math.isfinite(p) and math.isfinite(q):
-            if abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12:
-                return
-        raise InvalidExponent(f"not a conjugate pair: p={p}, q={q}")
-
-    @classmethod
-    def conjugate(cls, p: float) -> "HolderPair":
-        if p == _INF:
-            return cls(_INF, 1.0)
-        if p == 1.0:
-            return cls(1.0, _INF)
-        if not (p > 1.0 and math.isfinite(p)):
-            raise InvalidExponent(f"exponent must be in (1, inf), got {p}")
-        return cls(p, p / (p - 1.0))
 
 
 class BoundReport(NamedTuple):
@@ -134,8 +102,10 @@ def _validated_grid(exponent_grid) -> tuple[float, ...]:
         return DEFAULT_GRID
     grid = tuple(float(p) for p in exponent_grid)
     for p in grid:
-        if not (p > 1.0 and math.isfinite(p)):
-            raise InvalidExponent(f"grid entries must be finite and > 1, got {p}")
+        # between 2^53 and 2^54 the conjugate p / (p - 1) starts to round
+        # to 1, which leaves no Holder pair of finite exponents
+        if not (p > 1.0 and math.isfinite(p) and p / (p - 1.0) > 1.0):
+            raise InvalidExponent(f"grid entries must be finite, > 1 and have a conjugate > 1, got {p}")
     return grid
 
 
@@ -145,11 +115,12 @@ def _catalog_table(grid: tuple[float, ...]):
 
     The diagonal choices (max_weight, Holder, max_norm) and the
     off-diagonal ones (max_pair, Holder, max_cross) share one list of
-    conjugate pairs, the sentinels being (inf, 1) and (1, inf).  The
-    labels run in catalog order: the master table row by row, then the
-    named variants; the orthogonal labels come separately.
+    conjugate pairs 1/p + 1/q = 1, the max-based limiting cases being
+    the sentinels (inf, 1) and (1, inf).  The labels run in catalog
+    order: the master table row by row, then the named variants; the
+    orthogonal labels come separately.
     """
-    pairs = [(h.p, h.q) for h in map(HolderPair.conjugate, (_INF, *grid, 1.0))]
+    pairs = [(_INF, 1.0), *((p, p / (p - 1.0)) for p in grid), (1.0, _INF)]
     power_means = [(r, s) for r, s in pairs[1:-1] if r <= 2.0]
     diag = [(MAX_WEIGHT, "")] + [("holder", f"p={p:g},q={q:g}") for p, q in pairs[1:-1]] + [(MAX_NORM, "")]
     off = [(MAX_PAIR, "")] + [("holder", f"r={r:g},s={s:g}") for r, s in pairs[1:-1]] + [(MAX_CROSS, "")]
@@ -163,7 +134,7 @@ def _catalog_table(grid: tuple[float, ...]):
 
 
 def catalog_from_norm_data(abs_weights, norms, cross, lhs_sq, exponent_grid=None,
-                           orthogonal_tol: float = ORTHOGONAL_TOL, scale: float = 1.0) -> list[BoundReport]:
+                           scale: float = 1.0) -> list[BoundReport]:
     """Every catalog bound from |alpha_i|, ||A_i|| and the n x n table of
     ||A_i A_j^*||, in fixed catalog order.
 
@@ -176,7 +147,8 @@ def catalog_from_norm_data(abs_weights, norms, cross, lhs_sq, exponent_grid=None
     entries are the table D[i] + O[j] of a diagonal term per diagonal
     choice and an off-diagonal term per off-diagonal choice; the named
     variants follow, and, when every cross product vanishes up to
-    orthogonal_tol, the diagonal terms D themselves.
+    ORTHOGONAL_TOL relative to the largest ||A_i||^2, the diagonal terms
+    D themselves.
     """
     grid = _validated_grid(exponent_grid)
     pairs, power_means, labels, orthogonal = _catalog_table(grid)
@@ -208,7 +180,7 @@ def catalog_from_norm_data(abs_weights, norms, cross, lhs_sq, exponent_grid=None
     named += [power_mean(r, s) for r, s in power_means]
 
     values = [(diag[:, None] + offdiag[None, :]).ravel(), np.array(named)]
-    if float(off.max()) <= orthogonal_tol * ln[_INF]:
+    if float(off.max()) <= ORTHOGONAL_TOL * ln[_INF]:
         # the bound is on the norm itself; its squared form is exactly
         # the diagonal term
         values.append(diag)
@@ -218,7 +190,7 @@ def catalog_from_norm_data(abs_weights, norms, cross, lhs_sq, exponent_grid=None
             for (name, exps), bound in zip(labels, (np.concatenate(values) * float(scale)).tolist())]
 
 
-def catalog_reports(alpha, A, exponent_grid=None, orthogonal_tol: float = ORTHOGONAL_TOL) -> list[BoundReport]:
+def catalog_reports(alpha, A, exponent_grid=None) -> list[BoundReport]:
     """Every catalog bound on one instance, in fixed catalog order.  The grid
     is checked before anything is solved; the left side then shares the
     family's norm pass (OperatorFamily.weighted_sum_norm)."""
@@ -226,7 +198,7 @@ def catalog_reports(alpha, A, exponent_grid=None, orthogonal_tol: float = ORTHOG
     w = as_weights(alpha, fam.count)
     grid = _validated_grid(exponent_grid)
     lhs_sq = fam.weighted_sum_norm(w) ** 2
-    return catalog_from_norm_data(np.abs(w), fam.norms, fam.cross, lambda: lhs_sq, grid, orthogonal_tol)
+    return catalog_from_norm_data(np.abs(w), fam.norms, fam.cross, lambda: lhs_sq, grid)
 
 
 def tightest_report(reports) -> BoundReport:

@@ -6,14 +6,16 @@ S = sum z_i A_i satisfies, in the PSD order,
     S S^*  <=  (sum |z_i|^2) (sum A_i A_i^*),
 
 with both sides PSD.  This module materializes the gap between the two
-sides and tests it, and exposes the scalar norm consequence
-||S||^2 <= (sum |z_i|^2) ||sum A_i A_i^*||.
+sides and tests it.  Its scalar norm consequence
+||S||^2 <= (sum |z_i|^2) ||sum A_i A_i^*|| reads both sides from one
+family's norm pass (OperatorFamily.weighted_sum_norm and
+sum_products_norm).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,21 +46,12 @@ class OperatorFamily:
     """
 
     def __init__(self, ops):
-        if isinstance(ops, np.ndarray) and ops.ndim == 3:
+        try:
             stack = np.asarray(ops, dtype=np.complex128)
-        else:
-            mats = [linalg.as_matrix(m) for m in ops]
-            if not mats:
-                raise DimensionMismatch("empty operator family")
-            shape = mats[0].shape
-            for m in mats[1:]:
-                if m.shape != shape:
-                    raise DimensionMismatch(f"mixed operator shapes {shape} and {m.shape}")
-            stack = np.stack(mats)
-        if stack.shape[0] == 0:
-            raise DimensionMismatch("empty operator family")
-        if stack.shape[1] != stack.shape[2]:
-            raise DimensionMismatch(f"operators must be square, got shape {stack.shape[1:]}")
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatch("operators do not form one stack of numeric matrices") from exc
+        if stack.ndim != 3 or 0 in stack.shape or stack.shape[1] != stack.shape[2]:
+            raise DimensionMismatch(f"expected a nonempty stack of square matrices, got shape {stack.shape}")
         if not np.isfinite(stack).all():
             raise ValueError("operator entries must be finite")
         self.ops = stack
@@ -78,9 +71,7 @@ class OperatorFamily:
         """(norm data, norms of extra's slices) from one spectral_norms call; each
         slice is solved on its own, so extra changes no bit of the norm data."""
         n = self.count
-        # ||A_i A_j^*|| = ||A_j A_i^*|| (adjoint invariance), so only the
-        # upper triangle goes through the norm computation
-        iu, ju = np.triu_indices(n)
+        iu, ju = _upper_pairs(n)
         pairs = np.einsum("kab,kcb->kac", self.ops[iu], self.ops.conj()[ju])
         values = linalg.spectral_norms(np.concatenate([pairs, self.ops, self.sum_products[None], extra]))
         cross = np.zeros((n, n))
@@ -117,6 +108,16 @@ class OperatorFamily:
         return self._norm_data[2]
 
 
+@lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # ||A_i A_j^*|| = ||A_j A_i^*|| (adjoint invariance), so only the
+    # upper triangle goes through the norm computation; cached, read-only
+    iu, ju = np.triu_indices(n)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
+
+
 def as_family(A) -> OperatorFamily:
     if isinstance(A, OperatorFamily):
         return A
@@ -129,8 +130,8 @@ class PsdGapResult:
 
     gap is the symmetrized difference between the dominating side and
     S S^*; holds records whether its smallest eigenvalue clears the
-    relative PSD tolerance.  The inner_* fields report the same test on
-    S S^* itself, which must also be PSD.
+    relative tolerance linalg.PSD_TOL.  The inner_* fields report the
+    same test on S S^* itself, which must also be PSD.
     """
 
     gap: np.ndarray
@@ -142,21 +143,19 @@ class PsdGapResult:
     inner_norm: float
 
 
-def _psd_verdict(eigs: np.ndarray, tol: float) -> tuple[float, float, bool]:
+def _psd_verdict(eigs: np.ndarray) -> tuple[float, float, bool]:
     lo = float(eigs[0])
     norm = max(abs(lo), abs(float(eigs[-1])))
-    return lo, norm, lo >= -tol * max(1.0, norm)
+    return lo, norm, lo >= -linalg.PSD_TOL * max(1.0, norm)
 
 
-def cbs_operator_gap(z, A, tol: float = linalg.PSD_TOL) -> PsdGapResult:
+def cbs_operator_gap(z, A) -> PsdGapResult:
     """The PSD gap (sum |z_i|^2)(sum A_i A_i^*) - S S^* with S = sum z_i A_i.
 
     The assembled difference is symmetrized before eigenvalue analysis:
     the exact gap is self-adjoint, floating point is not quite.  The gap
     and the symmetrized S S^* go to the eigensolver as one stack.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     fam = as_family(A)
     w = as_weights(z, fam.count)
     s = np.einsum("i,iab->ab", w, fam.ops)
@@ -164,8 +163,8 @@ def cbs_operator_gap(z, A, tol: float = linalg.PSD_TOL) -> PsdGapResult:
     raw = float((np.abs(w) ** 2).sum()) * fam.sum_products - inner
     gap = 0.5 * (raw + raw.conj().T)
     eigs = linalg.hermitian_eigenvalues(np.stack([gap, 0.5 * (inner + inner.conj().T)]))
-    min_eig, gap_norm, holds = _psd_verdict(eigs[0], tol)
-    inner_min, inner_norm, inner_holds = _psd_verdict(eigs[1], tol)
+    min_eig, gap_norm, holds = _psd_verdict(eigs[0])
+    inner_min, inner_norm, inner_holds = _psd_verdict(eigs[1])
     return PsdGapResult(
         gap=gap,
         min_eigenvalue=min_eig,
@@ -176,12 +175,3 @@ def cbs_operator_gap(z, A, tol: float = linalg.PSD_TOL) -> PsdGapResult:
         inner_norm=inner_norm,
     )
 
-
-def cbs_norm_check(z, A) -> tuple[float, float, bool]:
-    """(lhs, rhs, holds) with lhs = ||sum z_i A_i||^2 and
-    rhs = (sum |z_i|^2) ||sum A_i A_i^*||."""
-    fam = as_family(A)
-    w = as_weights(z, fam.count)
-    lhs = fam.weighted_sum_norm(w) ** 2
-    rhs = float((np.abs(w) ** 2).sum()) * fam.sum_products_norm
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)

@@ -149,14 +149,13 @@ def _check_name(rep: bounds.BoundReport) -> str:
 
 
 def verify_instance(alpha, A, tol: float = 1e-9, *, exponent_grid=None,
-                    probe_seed: int = _PROBE_SALT,
                     spec: Optional[InstanceSpec] = None) -> VerificationResult:
     """Run every inequality in the catalog against one instance.
 
     Records, per check: name, the exact quantity being dominated, the
     dominating quantity, whether it holds at the given relative
-    tolerance, and the slack ratio.  The PSD checks use their own
-    relative eigenvalue tolerance rather than tol.
+    tolerance, and the slack ratio.  The PSD checks use the relative
+    eigenvalue tolerance PSD_TOL rather than tol.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -186,7 +185,7 @@ def verify_instance(alpha, A, tol: float = 1e-9, *, exponent_grid=None,
 
     m = bounds.tightest_report(reports).bound
 
-    prng = PortableRng(derive_seed(probe_seed, fam.dim, fam.count))
+    prng = PortableRng(derive_seed(_PROBE_SALT, fam.dim, fam.count))
     probes = [np.ones(fam.dim, dtype=np.complex128)]
     probes.extend(prng.complex_normal(fam.dim) for _ in range(_PROBE_COUNT))
     for k, x in enumerate(probes):

@@ -24,16 +24,6 @@ PSD_TOL = 1e-8
 _TINY = np.finfo(np.float64).tiny
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite complex 2-d array."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
-        raise DimensionMismatch(f"expected a nonempty 2-d array, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
 @dataclass(frozen=True)
 class SpectralNormResult:
     value: float
@@ -99,7 +89,7 @@ def _unit_rows(w: np.ndarray, pert: np.ndarray) -> np.ndarray:
     return np.where(alive[:, None], w / np.where(alive, nw, 1.0)[:, None], pert)
 
 
-def _power_stack(bs: np.ndarray, tol: float, max_iter: int):
+def _power_stack(bs: np.ndarray):
     """Largest eigenvalues of a stack of Hermitian PSD matrices.
 
     Each slice B is first squared _SQUARINGS times (renormalized before
@@ -110,8 +100,8 @@ def _power_stack(bs: np.ndarray, tol: float, max_iter: int):
     start then moves the iterate v one step with C between checks,
     while every check is made on B itself: the eigenvalue is the
     Rayleigh quotient v^H B v / v^H v and the residual is
-    ||B v - lam v|| / (|lam| ||v||), so tol keeps its meaning as a
-    relative eigen-residual of B.
+    ||B v - lam v|| / (|lam| ||v||), so DEFAULT_TOL bounds a relative
+    eigen-residual of B.
 
     Every slice must pass the residual test twice, with a fixed
     perturbation applied between the passes: a start vector that is
@@ -123,7 +113,7 @@ def _power_stack(bs: np.ndarray, tol: float, max_iter: int):
 
     Returns (eigenvalue, iterations, relative residual, converged), where
     iterations counts the steps taken with C, not with B, and is at most
-    max_iter.
+    DEFAULT_MAX_ITER.
     """
     m, k, _ = bs.shape
     lam = np.zeros(m)
@@ -137,7 +127,7 @@ def _power_stack(bs: np.ndarray, tol: float, max_iter: int):
     c = _squared_power(bs)
     v = np.full((m, k), 1.0 / math.sqrt(k), dtype=np.complex128)
     seen = np.zeros(m, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         v = _unit_rows((c @ v[:, :, None])[:, :, 0], pert)
         bv = (b @ v[:, :, None])[:, :, 0]
         vv = (v.real**2 + v.imag**2).sum(axis=1)
@@ -149,7 +139,7 @@ def _power_stack(bs: np.ndarray, tol: float, max_iter: int):
         lam[idx] = lam_a
         resid[idx] = rel
 
-        ok = rel <= tol
+        ok = rel <= DEFAULT_TOL
         finished = ok & seen
         fresh = ok & ~seen
         if fresh.any():
@@ -164,58 +154,52 @@ def _power_stack(bs: np.ndarray, tol: float, max_iter: int):
     return lam, iters, resid, done
 
 
-def _check_iteration_args(tol: float, max_iter: int) -> None:
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+def _finite_stack(ms) -> np.ndarray:
+    stack = np.asarray(ms, dtype=np.complex128)
+    if stack.ndim != 3 or 0 in stack.shape:
+        raise DimensionMismatch(f"expected a nonempty stack of matrices, got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    return stack
 
 
-def spectral_norm(m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SpectralNormResult:
+def spectral_norm(m) -> SpectralNormResult:
     """Largest singular value of M, via power iteration on M^H M.
 
     The residual reported is the relative eigen-residual of the final
     iterate on the Hermitian product matrix, and iterations counts the
     steps taken on its repeated square (see _power_stack).  Raises
     NoConvergence, carrying the best estimate, when the residual is
-    still above tol after max_iter steps.
+    still above DEFAULT_TOL after DEFAULT_MAX_ITER steps.
     """
-    a = as_matrix(m)
-    _check_iteration_args(tol, max_iter)
-    scaled, exps = _pow2_scale(a[None])
-    lam, iters, resid, done = _power_stack(_hermitian_products(scaled), tol, max_iter)
+    scaled, exps = _pow2_scale(_finite_stack(np.asarray(m)[None]))
+    lam, iters, resid, done = _power_stack(_hermitian_products(scaled))
     value = math.ldexp(math.sqrt(max(float(lam[0]), 0.0)), int(exps[0]))
     if not done[0]:
         raise NoConvergence(
-            f"spectral norm residual {float(resid[0]):.3e} above tol {tol:.3e} "
+            f"spectral norm residual {float(resid[0]):.3e} above tol {DEFAULT_TOL:.3e} "
             f"after {int(iters[0])} iterations",
             best=value,
         )
     return SpectralNormResult(value=value, iterations=int(iters[0]), residual=float(resid[0]))
 
 
-def spectral_norms(ms, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+def spectral_norms(ms) -> np.ndarray:
     """Spectral norms of a stack of same-shape matrices.
 
     Power iteration first; the slices whose spectral gap is too small
-    to converge in max_iter steps fall back together to the Jacobi
-    eigenvalue route, which is slower but gap-independent.
+    to converge in DEFAULT_MAX_ITER steps fall back together to the
+    Jacobi eigenvalue route, which is slower but gap-independent.
     """
-    stack = np.asarray(ms, dtype=np.complex128)
-    if stack.ndim != 3 or 0 in stack.shape:
-        raise DimensionMismatch(f"expected a nonempty stack of matrices, got shape {stack.shape}")
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix entries must be finite")
-    _check_iteration_args(tol, max_iter)
-    scaled, exps = _pow2_scale(stack)
+    scaled, exps = _pow2_scale(_finite_stack(ms))
     bs = _hermitian_products(scaled)
-    lam, _, _, done = _power_stack(bs, tol, max_iter)
+    lam, _, _, done = _power_stack(bs)
     if not done.all():
-        lam[~done] = _jacobi_stack(bs[~done], DEFAULT_TOL)[:, -1]
+        lam[~done] = _jacobi_stack(bs[~done])[:, -1]
     return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), exps)
 
 
-def _jacobi_stack(ws: np.ndarray, tol: float, max_sweeps: int = 100) -> np.ndarray:
+def _jacobi_stack(ws: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
     """Eigenvalues (ascending, one row per slice) of a stack of Hermitian
     matrices, by Jacobi sweeps in round-robin order (Brent & Luk, 1985).
 
@@ -228,10 +212,10 @@ def _jacobi_stack(ws: np.ndarray, tol: float, max_sweeps: int = 100) -> np.ndarr
     indices in slots 1..n-1 move one slot on (n-1 wraps to 1) and slot 0
     stays; over n-1 rounds every pair meets once.  A pivot h is reduced
     to a real 2x2 problem through its phase and annihilated by the
-    classical rotation, up to rounding; pivots with
-    |h| <= tol ||W||_F / (4 d^2) are skipped.  The diagonal is read as
-    its real part.  A slice is done, and leaves the active set, when the
-    Frobenius mass of its off-diagonal part is at most tol ||W||_F,
+    classical rotation, up to rounding; with tol = DEFAULT_TOL, pivots
+    with |h| <= tol ||W||_F / (4 d^2) are skipped.  The diagonal is read
+    as its real part.  A slice is done, and leaves the active set, when
+    the Frobenius mass of its off-diagonal part is at most tol ||W||_F,
     tested before each sweep.  Raises NoConvergence after max_sweeps.
     """
     m, d, _ = ws.shape
@@ -240,7 +224,7 @@ def _jacobi_stack(ws: np.ndarray, tol: float, max_sweeps: int = 100) -> np.ndarr
     k = n // 2
     w = np.zeros((m, n, n), dtype=np.complex128)
     w[:, pad:, pad:] = ws
-    target = tol * np.sqrt((w.real**2 + w.imag**2).sum(axis=(1, 2)))
+    target = DEFAULT_TOL * np.sqrt((w.real**2 + w.imag**2).sum(axis=(1, 2)))
     skip = target[:, None] / (4.0 * d * d)
     off = ~np.eye(n, dtype=bool)
     out = np.zeros((m, n))
@@ -286,10 +270,10 @@ def _jacobi_stack(ws: np.ndarray, tol: float, max_sweeps: int = 100) -> np.ndarr
     return np.sort(out[:, pad:], axis=1)
 
 
-def _require_hermitian(stack: np.ndarray, tol: float) -> None:
+def _require_hermitian(stack: np.ndarray) -> None:
     asym = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     scale = np.abs(stack).max(axis=(1, 2))
-    bad = np.flatnonzero(asym > tol * scale)
+    bad = np.flatnonzero(asym > DEFAULT_TOL * scale)
     if bad.size:
         i = bad[0]
         raise NotHermitian(
@@ -297,24 +281,24 @@ def _require_hermitian(stack: np.ndarray, tol: float) -> None:
         )
 
 
-def hermitian_eigenvalues(h, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_eigenvalues(h) -> np.ndarray:
     """All eigenvalues of (H + H^H)/2, ascending, by round-robin Jacobi.
 
     H is a square matrix, or a stack of them solved together, which
     gives one row of eigenvalues per slice.  Each slice is divided by a
     power of two near its largest entry first, so that entries of any
     representable size give eigenvalues to full relative accuracy.
+    Raises NotHermitian when H deviates from its adjoint by more than
+    DEFAULT_TOL times its largest entry.
     """
     a = np.asarray(h, dtype=np.complex128)
-    stack = a[None] if a.ndim == 2 else a
-    if stack.ndim != 3 or 0 in stack.shape or stack.shape[1] != stack.shape[2]:
+    stack = _finite_stack(a[None] if a.ndim == 2 else a)
+    if stack.shape[1] != stack.shape[2]:
         raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix entries must be finite")
     scaled, exps = _pow2_scale(stack)
-    _require_hermitian(scaled, tol)
+    _require_hermitian(scaled)
     w = 0.5 * (scaled + scaled.conj().transpose(0, 2, 1))
-    eigs = np.ldexp(_jacobi_stack(w, DEFAULT_TOL), exps[:, None])
+    eigs = np.ldexp(_jacobi_stack(w), exps[:, None])
     return eigs[0] if a.ndim == 2 else eigs
 
 

@@ -1,16 +1,21 @@
 """Portable deterministic random numbers.
 
-Reproducibility across platforms and library versions matters more here
-than statistical sophistication: frozen test values and byte-identical
-CLI output both depend on every draw being recomputable forever.  So the
-package carries its own small generator instead of relying on whatever
-``numpy.random`` happens to do in a given release.
+Reproducibility matters more here than statistical sophistication:
+frozen test values and byte-identical CLI output both depend on every
+draw being recomputable forever.  So the package carries its own small
+generator instead of relying on whatever ``numpy.random`` happens to do
+in a given release.
 
 The core is splitmix64, used in counter mode: output ``k`` is
 ``mix(seed + (k + 1) * GAMMA)`` with all arithmetic modulo 2**64.  That
 makes any block of draws a pure function of ``(seed, k)``, so blocks can
 be produced with vectorized uint64 arithmetic.  Uniforms take the top 53
 bits, normals come from the Box-Muller transform.
+
+The raw words and the uniforms are exact integer arithmetic and the
+same on every platform.  The normals are not: ``np.log1p`` runs numpy's
+SIMD code, which is chosen at run time for the CPU (AVX-512 or not), and
+the two versions round differently in a few percent of cases.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .bounds import ORTHOGONAL_TOL, BoundReport, catalog_from_norm_data
+from .bounds import BoundReport, catalog_from_norm_data
 from .cbs import OperatorFamily, as_weights
 from .errors import DimensionMismatch, ZeroVector
 
@@ -33,21 +33,12 @@ class VectorFamily:
     """Nonzero vectors y_1..y_n in C^d with their Gram matrix."""
 
     def __init__(self, vectors):
-        if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        try:
             stack = np.ascontiguousarray(vectors, dtype=np.complex128)
-        else:
-            rows = [np.asarray(v, dtype=np.complex128) for v in vectors]
-            if not rows:
-                raise DimensionMismatch("empty vector family")
-            shape = rows[0].shape
-            if len(shape) != 1:
-                raise DimensionMismatch(f"expected 1-d vectors, got shape {shape}")
-            for v in rows[1:]:
-                if v.shape != shape:
-                    raise DimensionMismatch(f"mixed vector dimensions {shape} and {v.shape}")
-            stack = np.stack(rows)
-        if stack.shape[0] == 0 or stack.shape[1] == 0:
-            raise DimensionMismatch("empty vector family")
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatch("vectors do not form one stack of numeric rows") from exc
+        if stack.ndim != 2 or 0 in stack.shape:
+            raise DimensionMismatch(f"expected a nonempty stack of vectors, got shape {stack.shape}")
         if not np.isfinite(stack).all():
             raise ValueError("vector entries must be finite")
         # each vector is divided by a power of two near its largest part
@@ -96,8 +87,9 @@ def rank_one_family(Y) -> OperatorFamily:
     return OperatorFamily(ops)
 
 
-def verify_identities(Y, tol: float = 1e-9) -> bool:
-    """Check ||A_i|| = ||y_i|| and ||A_i A_j^H|| = |(y_i, y_j)| numerically.
+def verify_identities(Y) -> bool:
+    """Check ||A_i|| = ||y_i|| and ||A_i A_j^H|| = |(y_i, y_j)| numerically,
+    to a relative deviation of 1e-9.
 
     Cross deviations are measured relative to ||y_i|| ||y_j||, which
     dominates both sides, so exactly orthogonal pairs are checked at the
@@ -108,11 +100,10 @@ def verify_identities(Y, tol: float = 1e-9) -> bool:
     norm_dev = float((np.abs(fam.norms - vf.norms) / vf.norms).max())
     pair_scale = np.outer(vf.norms, vf.norms)
     cross_dev = float((np.abs(fam.cross - np.abs(vf.gram)) / pair_scale).max())
-    return norm_dev <= tol and cross_dev <= tol
+    return norm_dev <= 1e-9 and cross_dev <= 1e-9
 
 
-def gram_catalog_reports(alpha, Y, x_norm_sq: float, exponent_grid=None,
-                         orthogonal_tol: float = ORTHOGONAL_TOL) -> list[BoundReport]:
+def gram_catalog_reports(alpha, Y, x_norm_sq: float, exponent_grid=None) -> list[BoundReport]:
     """The full catalog on ||sum alpha_i (x, y_i) y_i / ||y_i||||^2, in
     catalog order, computed from the Gram matrix only and scaled by
     x_norm_sq = ||x||^2."""
@@ -121,7 +112,7 @@ def gram_catalog_reports(alpha, Y, x_norm_sq: float, exponent_grid=None,
     if not (x_norm_sq >= 0.0 and np.isfinite(x_norm_sq)):
         raise ValueError(f"x_norm_sq must be finite and nonnegative, got {x_norm_sq}")
     return catalog_from_norm_data(np.abs(w), vf.norms, np.abs(vf.gram), lambda: vf.weighted_sum_norm_sq(w),
-                                  exponent_grid, orthogonal_tol, scale=float(x_norm_sq))
+                                  exponent_grid, scale=float(x_norm_sq))
 
 
 def bessel_weighting(Y) -> np.ndarray:

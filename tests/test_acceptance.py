@@ -148,7 +148,7 @@ def test_criterion_5_rank_one_norm_identities():
         d = _DIMS[k % len(_DIMS)]
         n = 1 + k % 8
         vf = VectorFamily(PortableRng(600_000 + k).complex_normal((n, d)))
-        bad += not verify_identities(vf, tol=1e-9)
+        bad += not verify_identities(vf)
     ok = bad == 0
     _report(5, ok, f"500 vector families, {bad} identity failures")
     assert ok

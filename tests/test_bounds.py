@@ -3,7 +3,6 @@ import pytest
 
 from opsumbounds import bounds
 from opsumbounds.bounds import (
-    HolderPair,
     bilinear_bound,
     catalog_from_norm_data,
     catalog_reports,
@@ -223,10 +222,6 @@ def test_invalid_exponents_raise():
     with pytest.raises(InvalidExponent):
         catalog_reports(w, fam, exponent_grid=(1.0,))
     with pytest.raises(InvalidExponent):
-        HolderPair(2.0, 3.0)
-    with pytest.raises(InvalidExponent):
-        HolderPair.conjugate(0.5)
-    with pytest.raises(InvalidExponent):
         catalog_reports(w, fam, exponent_grid=(2.0, np.inf))
     with pytest.raises(InvalidExponent):
         catalog_reports(w, fam, exponent_grid=(1.0, 2.0))
@@ -254,11 +249,29 @@ def test_bad_grid_is_rejected_before_any_norm_is_solved(monkeypatch):
         catalog_reports(w, fam, exponent_grid=(0.5,))
 
 
-def test_holder_pair_accepts_sentinel_limits():
-    assert HolderPair(np.inf, 1.0).p == np.inf
-    assert HolderPair(1.0, np.inf).q == np.inf
-    pair = HolderPair.conjugate(1.25)
-    assert pair.q == pytest.approx(5.0, rel=1e-12)
+@pytest.mark.parametrize("p", [2.0**60, 1e300])
+def test_grid_rejects_an_exponent_whose_conjugate_rounds_to_one(p):
+    w, fam = _random_instance(5, d=2, n=2)
+    with pytest.raises(InvalidExponent):
+        catalog_reports(w, fam, exponent_grid=(p,))
+
+
+@pytest.mark.parametrize("p", [2.0**53, 1 + 2**-52])
+def test_grid_accepts_an_exponent_with_a_conjugate_above_one(p):
+    w, fam = _random_instance(5, d=2, n=2)
+    reports = catalog_reports(w, fam, exponent_grid=(p,))
+    assert [rep.exponents for rep in reports if rep.name == "master:holder+holder"] == [
+        f"p={p:g},q={p / (p - 1):g};r={p:g},s={p / (p - 1):g}"]
+
+
+def test_conjugate_exponents_and_sentinels_in_catalog_labels():
+    w, fam = _random_instance(5, d=2, n=2)
+    labels = {(rep.name, rep.exponents) for rep in catalog_reports(w, fam, exponent_grid=(1.25,))}
+    # q = p / (p - 1) = 5 for p = 1.25
+    assert ("master:holder+holder", "p=1.25,q=5;r=1.25,s=5") in labels
+    # the sentinel pairs (inf, 1) and (1, inf) are the max-based lines
+    assert ("master:max_weight+max_pair", "") in labels
+    assert ("master:max_norm+max_cross", "") in labels
 
 
 # -- probe-level consequences ------------------------------------------------

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from opsumbounds import bounds, linalg
-from opsumbounds.cbs import OperatorFamily, as_weights, cbs_norm_check, cbs_operator_gap
+from opsumbounds.cbs import OperatorFamily, as_weights, cbs_operator_gap
 from opsumbounds.errors import DimensionMismatch
+from opsumbounds.harness import verify_instance
 from opsumbounds.rng import PortableRng
 
 
@@ -19,6 +20,11 @@ def test_family_validation():
         OperatorFamily([np.eye(2), np.eye(3)])
     with pytest.raises(ValueError):
         OperatorFamily(np.full((1, 2, 2), np.nan))
+    # one conversion path: ragged, non-numeric, empty and wrong-rank
+    # input all raise DimensionMismatch
+    for bad in ([[[1.0, 2.0], [3.0]]], [[["a"]]], [[[object()]]], [], np.zeros((2, 0, 0)), np.eye(2)):
+        with pytest.raises(DimensionMismatch):
+            OperatorFamily(bad)
     fam = OperatorFamily([np.eye(2), 2 * np.eye(2)])
     assert fam.count == 2 and fam.dim == 2
 
@@ -83,13 +89,22 @@ def test_gap_global_phase_invariance():
     assert abs(base.min_eigenvalue - spun.min_eigenvalue) <= 1e-10 * scale
 
 
+def _norm_check(w, fam):
+    """Both sides of ||sum z_i A_i||^2 <= (sum |z_i|^2) ||sum A_i A_i^*||."""
+    return fam.weighted_sum_norm(w) ** 2, float((np.abs(w) ** 2).sum()) * fam.sum_products_norm
+
+
+def _cbs_norm_record(w, fam):
+    return next(c for c in verify_instance(w, fam).checks if c.name == "cbs_norm")
+
+
 def test_norm_check_holds_and_scales():
     w, fam = _random_instance(99, d=5, n=4)
-    lhs, rhs, ok = cbs_norm_check(w, fam)
-    assert ok and lhs <= rhs * (1 + 1e-9)
+    lhs, rhs = _norm_check(w, fam)
+    assert lhs <= rhs * (1 + 1e-9)
     c = 2.5 - 1.5j
-    lhs2, rhs2, ok2 = cbs_norm_check(np.asarray(w) * c, fam)
-    assert ok2
+    lhs2, rhs2 = _norm_check(np.asarray(w) * c, fam)
+    assert lhs2 <= rhs2 * (1 + 1e-9)
     assert lhs2 == pytest.approx(abs(c) ** 2 * lhs, rel=1e-10)
     assert rhs2 == pytest.approx(abs(c) ** 2 * rhs, rel=1e-10)
 
@@ -99,8 +114,8 @@ def test_norm_check_equality_for_identical_phases():
     # identity: then lhs equals (sum |z_i c_i|)^2 <= rhs with equality
     # when the products z_i c_i share one phase
     fam = OperatorFamily([np.eye(3), 2.0 * np.eye(3)])
-    lhs, rhs, ok = cbs_norm_check([2.0, 1.0], fam)
-    assert ok
+    lhs, rhs = _norm_check(np.array([2.0, 1.0]), fam)
+    assert lhs <= rhs * (1 + 1e-9)
     assert lhs == pytest.approx(16.0, rel=1e-10)          # ||2I + 2I||^2
     assert rhs == pytest.approx(5.0 * 5.0, rel=1e-10)     # (4+1) * ||I+4I||
 
@@ -109,10 +124,10 @@ def test_norm_check_survives_near_degenerate_top_pair():
     # S = diag(1, 1 - 1e-9) has a relative gap of 2e-9 in S^* S, beyond
     # any power-iteration budget; the Jacobi fallback must carry the check
     fam = OperatorFamily([np.diag([1.0, 0.0]), np.diag([0.0, 1.0 - 1e-9])])
-    lhs, rhs, ok = cbs_norm_check([1.0, 1.0], fam)
-    assert ok
-    assert lhs == pytest.approx(1.0, rel=1e-12)
-    assert rhs == pytest.approx(2.0, rel=1e-12)
+    rec = _cbs_norm_record([1.0, 1.0], fam)
+    assert rec.holds
+    assert rec.lhs == pytest.approx(1.0, rel=1e-12)
+    assert rec.bound == pytest.approx(2.0, rel=1e-12)
 
 
 def test_weighted_sum_matches_manual():
@@ -174,6 +189,7 @@ def test_norm_check_takes_its_left_side_from_the_norm_pass(monkeypatch):
     w, fam = _random_instance(79, d=3, n=3)
     reports = bounds.catalog_reports(w, OperatorFamily(fam.ops))
     calls = _count_norm_calls(monkeypatch)
-    lhs, rhs, ok = cbs_norm_check(w, fam)
+    rec = _cbs_norm_record(w, fam)
     assert calls == [3 * 4 // 2 + 3 + 2]
-    assert ok and lhs == reports[0].lhs_sq
+    assert rec.holds and rec.lhs == reports[0].lhs_sq
+    assert rec.bound == _norm_check(w, fam)[1]

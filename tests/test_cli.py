@@ -108,6 +108,8 @@ def test_bad_inputs_exit_2(ops_file, tmp_path, capsys):
     assert main(["verify", "--input", str(repeated)]) == 2
     assert main(["bound", "--input", ops_file, "--mode", "vectors"]) == 2
     assert main(["bound", "--input", ops_file, "--grid", "zzz"]) == 2
+    # finite and > 1, but its conjugate p / (p - 1) rounds to 1
+    assert main(["bound", "--input", ops_file, "--grid", "1e300"]) == 2
     assert main(["verify", "--kind", "GaussianDense", "--dim", "4", "--count", "3",
                  "--seed", "1", "--tol", "0"]) == 2
     assert main(["verify", "--kind", "GaussianDense", "--dim", "4", "--count", "3",
@@ -200,9 +202,14 @@ def test_sweep_rejects_bad_arguments(tmp_path, capsys):
 
 
 # exit code and sha256 of each report on fixed inputs: performance work
-# must leave every byte of the output alone.  The digests pin this
-# platform's floating point (x86-64, numpy 2.4 with its bundled
-# OpenBLAS): another BLAS build may round differently.
+# must leave every byte of the output alone.  The digests pin the
+# floating point of the machine they were taken on: x86-64 with AVX-512,
+# numpy 2.4 with its bundled OpenBLAS.  Two run-time choices decide the
+# bits: numpy's SIMD dispatch for np.log1p (Box-Muller) and np.power
+# (catalog aggregates), and the OpenBLAS kernel for the matrix products.
+# The test fails under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+# AVX512_SPR" and under OPENBLAS_CORETYPE=Haswell, Zen or Sandybridge;
+# it passes under OPENBLAS_CORETYPE=SkylakeX.
 FROZEN_DIGESTS = {
     "bound:operators": (0, "ccbb49b972dc2f3ec0e9adae351af18241e3dd189ebe4f2a736308bc158b3b10"),
     "bound:vectors": (0, "ae2095be2df924a7c22642caa770628081c788a998ec9db0c1a625b89270ff08"),

@@ -139,22 +139,12 @@ def test_norm_routes_are_scale_safe(k):
 def test_spectral_norms_rejects_bad_shapes():
     with pytest.raises(DimensionMismatch):
         linalg.spectral_norms(np.zeros((3, 3)))
-    # an empty stack used to run all max_iter power steps on no data
+    # an empty stack used to run all DEFAULT_MAX_ITER power steps on no data
     for shape in [(0, 3, 3), (2, 0, 3), (2, 3, 0)]:
         with pytest.raises(DimensionMismatch):
             linalg.spectral_norms(np.zeros(shape))
     with pytest.raises(ValueError):
         linalg.spectral_norms(np.array([[[np.inf, 0], [0, 0]]]))
-
-
-@pytest.mark.parametrize("kwargs", [{"tol": float("nan")}, {"tol": 0.0}, {"tol": -1e-12},
-                                    {"max_iter": 0}, {"max_iter": -3}])
-def test_spectral_norms_rejects_bad_iteration_args(kwargs):
-    stack = PortableRng(17).complex_normal((2, 3, 3))
-    with pytest.raises(ValueError):
-        linalg.spectral_norms(stack, **kwargs)
-    with pytest.raises(ValueError):
-        linalg.spectral_norm(stack[0], **kwargs)
 
 
 def test_hermitian_eigenvalues_frozen():
@@ -214,9 +204,9 @@ def test_jacobi_stack_mixed_slices():
     assert np.all(got[0] == 0.0)
     assert np.array_equal(got[1], np.sort(stack[1].diagonal().real))
     # the slices leave the active set after different sweep counts
-    linalg._jacobi_stack(stack[:3], linalg.DEFAULT_TOL, max_sweeps=1)
+    linalg._jacobi_stack(stack[:3], max_sweeps=1)
     with pytest.raises(NoConvergence):
-        linalg._jacobi_stack(stack[4:], linalg.DEFAULT_TOL, max_sweeps=1)
+        linalg._jacobi_stack(stack[4:], max_sweeps=1)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 15, 16])

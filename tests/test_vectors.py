@@ -52,6 +52,9 @@ def test_family_validation():
         VectorFamily([np.zeros(2) + 1, np.zeros(3) + 1])
     with pytest.raises(ValueError):
         VectorFamily([np.array([np.inf, 1.0])])
+    for bad in ([[1.0, 2.0], [3.0]], [["a"]], [[object()]], np.ones(3), np.ones((2, 2, 2)), np.ones((2, 0))):
+        with pytest.raises(DimensionMismatch):
+            VectorFamily(bad)
 
 
 def test_gram_lhs_matches_materialized_operators():
