@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opsumbounds import bounds, linalg
-from opsumbounds.cbs import OperatorFamily, as_weights, cbs_operator_gap
+from opsumbounds.cbs import OperatorFamily, _upper_pairs, as_weights, cbs_operator_gap
 from opsumbounds.errors import DimensionMismatch
 from opsumbounds.harness import verify_instance
 from opsumbounds.rng import PortableRng
@@ -129,6 +129,17 @@ def test_norm_check_survives_near_degenerate_top_pair():
     assert rec.lhs == pytest.approx(1.0, rel=1e-12)
     assert rec.bound == pytest.approx(2.0, rel=1e-12)
 
+
+def test_upper_pairs_are_cached_and_read_only():
+    iu, ju = _upper_pairs(4)
+    assert _upper_pairs(4)[0] is iu and _upper_pairs(4)[1] is ju
+    ref_i, ref_j = np.triu_indices(4)
+    assert np.array_equal(iu, ref_i) and np.array_equal(ju, ref_j)
+    # a shared cached array must not be written through
+    with pytest.raises(ValueError):
+        iu[0] = 1
+    with pytest.raises(ValueError):
+        ju[0] = 1
 
 def test_weighted_sum_matches_manual():
     w, fam = _random_instance(1234, d=3, n=2)

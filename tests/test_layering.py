@@ -1,9 +1,12 @@
-"""Modules of the package use only each other's public names."""
+"""Modules of the package use only each other's public names, and the
+engine's tolerances are module constants rather than parameters."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import opsumbounds
+from opsumbounds import bounds, cbs, harness, linalg, vectors
 
 PACKAGE = Path(opsumbounds.__file__).resolve().parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
@@ -51,3 +54,28 @@ def test_no_module_uses_a_sibling_private_name():
     found = [v for path in sorted(PACKAGE.glob("*.py")) for v in _violations(path)]
     assert MODULES >= {"bounds", "harness", "vectors"}
     assert found == []
+
+
+# each public function and the parameters it no longer takes: the values
+# are DEFAULT_TOL, DEFAULT_MAX_ITER, PSD_TOL, ORTHOGONAL_TOL and the
+# harness's fixed probe salt
+FIXED_KNOBS = [
+    (linalg.spectral_norm, {"tol", "max_iter"}),
+    (linalg.spectral_norms, {"tol", "max_iter"}),
+    (linalg.hermitian_eigenvalues, {"tol"}),
+    (cbs.cbs_operator_gap, {"tol"}),
+    (bounds.catalog_from_norm_data, {"orthogonal_tol"}),
+    (bounds.catalog_reports, {"orthogonal_tol"}),
+    (vectors.gram_catalog_reports, {"orthogonal_tol"}),
+    (harness.verify_instance, {"probe_seed"}),
+    (vectors.verify_identities, {"tol"}),
+]
+
+
+def test_engine_tolerances_are_not_parameters():
+    taken = {f.__qualname__: sorted(knobs & set(inspect.signature(f).parameters))
+             for f, knobs in FIXED_KNOBS}
+    assert taken == {f.__qualname__: [] for f, _ in FIXED_KNOBS}
+    # the CLI's --tol still reaches the harness
+    assert "tol" in inspect.signature(harness.verify_instance).parameters
+    assert not hasattr(cbs, "cbs_norm_check") and not hasattr(bounds, "HolderPair")

@@ -147,6 +147,17 @@ def test_spectral_norms_rejects_bad_shapes():
         linalg.spectral_norms(np.array([[[np.inf, 0], [0, 0]]]))
 
 
+def test_iteration_budget_is_the_module_constant(monkeypatch):
+    # the power-iteration budget is DEFAULT_MAX_ITER, read at call time;
+    # a slice must pass its residual test twice, so one step finishes none
+    stack = PortableRng(17).complex_normal((2, 3, 3))
+    full = linalg.spectral_norms(stack)
+    monkeypatch.setattr(linalg, "DEFAULT_MAX_ITER", 1)
+    with pytest.raises(NoConvergence):
+        linalg.spectral_norm(stack[0])
+    # the batch falls back to the Jacobi route and still finds the norms
+    assert np.allclose(linalg.spectral_norms(stack), full, rtol=1e-12, atol=0.0)
+
 def test_hermitian_eigenvalues_frozen():
     m = PortableRng(99).complex_normal((4, 4))
     h = (m + m.conj().T) / 2
