@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -33,6 +34,11 @@ _PROBE_COUNT = 8
 _PROBE_SALT = 0x50B1
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no dimension, count or seed
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     kind: str
@@ -43,41 +49,57 @@ class InstanceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}; expected one of {', '.join(KINDS)}")
-        if not (isinstance(self.dim, int) and self.dim >= 1):
+        if not (_is_int(self.dim) and self.dim >= 1):
             raise InvalidSpec(f"dim must be a positive integer, got {self.dim!r}")
-        if not (isinstance(self.count, int) and self.count >= 1):
+        if not (_is_int(self.count) and self.count >= 1):
             raise InvalidSpec(f"count must be a positive integer, got {self.count!r}")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
         if self.kind in ("BlockOrthogonal", "OrthonormalRankOne") and self.dim < self.count:
             raise InvalidSpec(f"{self.kind} needs dim >= count, got dim={self.dim}, count={self.count}")
 
 
-def _gram_schmidt_unitary(m: np.ndarray) -> np.ndarray:
-    """Orthonormalize columns by modified Gram-Schmidt.
+def _gram_schmidt_stack(m: np.ndarray) -> np.ndarray:
+    """Orthonormalize the columns of each matrix of an (n, d, d) stack by
+    modified Gram-Schmidt, one column of the whole stack at a time.
 
     If a column collapses (numerically dependent input, essentially
     impossible for Gaussian draws), it is replaced by the first basis
     vector with a nonzero remainder against the columns built so far.
+
+    Each slice gets the arithmetic of the one-matrix loop, in the same
+    order, so the bits equal that loop's: each projection coefficient
+    and each squared norm is a per-slice dot, which numpy sends to the
+    BLAS dot that a 1-d ``@`` and ``np.linalg.norm`` use.
     """
-    d = m.shape[0]
-    q = np.zeros_like(m)
+    d = m.shape[1]
+    # Column j of the result and its conjugate, each a contiguous (n, d)
+    # array.  The dots must read unit-stride rows: BLAS sums a strided
+    # vector in another order, and a column sliced out of a stored
+    # (conjugate) matrix changed the bits.
+    cols: list[np.ndarray] = []
+    conj_cols: list[np.ndarray] = []
     for j in range(d):
-        v = m[:, j].copy()
+        v = m[:, :, j].copy()
         for i in range(j):
-            v -= (q[:, i].conj() @ v) * q[:, i]
-        nv = float(np.linalg.norm(v))
-        if nv <= 1e-12:
+            v -= (conj_cols[i][:, None, :] @ v[:, :, None])[:, 0] * cols[i]
+        # np.linalg.norm's route: real part's dot plus imaginary part's dot
+        re, im = v.real, v.imag
+        nv = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+        for k in np.flatnonzero(nv <= 1e-12):
             for basis in range(d):
-                v = np.zeros(d, dtype=np.complex128)
-                v[basis] = 1.0
+                vk = np.zeros(d, dtype=np.complex128)
+                vk[basis] = 1.0
                 for i in range(j):
-                    v -= (q[:, i].conj() @ v) * q[:, i]
-                nv = float(np.linalg.norm(v))
-                if nv > 1e-8:
+                    vk -= (conj_cols[i][k] @ vk) * cols[i][k]
+                nk = float(np.linalg.norm(vk))
+                if nk > 1e-8:
                     break
-        q[:, j] = v / nv
-    return q
+            v[k], nv[k] = vk, nk
+        col = v / nv[:, None]
+        cols.append(col)
+        conj_cols.append(col.conj())
+    return np.stack(cols, axis=2)
 
 
 def generate(spec: InstanceSpec):
@@ -94,7 +116,7 @@ def generate(spec: InstanceSpec):
         base = rng.complex_normal((n, d, d))
         scalars = rng.complex_normal(n)
         weights = rng.complex_normal(n)
-        ops = np.stack([scalars[i] * _gram_schmidt_unitary(base[i]) for i in range(n)])
+        ops = scalars[:, None, None] * _gram_schmidt_stack(base)
         return weights, OperatorFamily(ops), None
 
     if spec.kind == "RankOneFromVectors":
@@ -148,6 +170,16 @@ def _check_name(rep: bounds.BoundReport) -> str:
     return f"{rep.name}({rep.exponents})" if rep.exponents else rep.name
 
 
+@lru_cache(maxsize=64)
+def _probes(dim: int, count: int) -> tuple[np.ndarray, ...]:
+    # The probe vectors depend on the shape alone; cached, read-only.
+    prng = PortableRng(derive_seed(_PROBE_SALT, dim, count))
+    probes = (np.ones(dim, dtype=np.complex128),) + tuple(prng.complex_normal(dim) for _ in range(_PROBE_COUNT))
+    for x in probes:
+        x.flags.writeable = False
+    return probes
+
+
 def verify_instance(alpha, A, tol: float = 1e-9, *, exponent_grid=None,
                     spec: Optional[InstanceSpec] = None) -> VerificationResult:
     """Run every inequality in the catalog against one instance.
@@ -185,9 +217,7 @@ def verify_instance(alpha, A, tol: float = 1e-9, *, exponent_grid=None,
 
     m = bounds.tightest_report(reports).bound
 
-    prng = PortableRng(derive_seed(_PROBE_SALT, fam.dim, fam.count))
-    probes = [np.ones(fam.dim, dtype=np.complex128)]
-    probes.extend(prng.complex_normal(fam.dim) for _ in range(_PROBE_COUNT))
+    probes = _probes(fam.dim, fam.count)
     for k, x in enumerate(probes):
         plhs, prhs, pok = bounds.vector_image_bound(w, fam, x, m)
         checks.append(CheckRecord(f"image_probe_{k}", plhs, prhs, pok, bounds.slack_ratio(plhs, prhs)))

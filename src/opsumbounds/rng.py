@@ -54,9 +54,10 @@ class PortableRng:
         """Next ``n`` raw 64-bit words."""
         start = self._consumed + 1
         self._consumed += n
-        with np.errstate(over="ignore"):
-            ks = np.arange(start, start + n, dtype=np.uint64)
-            return _mix(self._seed + ks * _GAMMA)
+        # uint64 array arithmetic wraps modulo 2**64 without a warning;
+        # only numpy-scalar arithmetic (derive_seed) reports the overflow
+        ks = np.arange(start, start + n, dtype=np.uint64)
+        return _mix(self._seed + ks * _GAMMA)
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles in [0, 1) with 53 random bits each."""

@@ -7,13 +7,46 @@ from opsumbounds.bounds import catalog_reports, tightest_report
 from opsumbounds.errors import InvalidSpec
 from opsumbounds.harness import (
     CSV_HEADER,
+    KINDS,
+    _PROBE_COUNT,
+    _PROBE_SALT,
     InstanceSpec,
+    _gram_schmidt_stack,
+    _probes,
     generate,
     slack_sweep,
     verify_instance,
     verify_spec,
     write_slack_csv,
 )
+from opsumbounds.rng import PortableRng, derive_seed
+
+
+def _reference_gram_schmidt(m):
+    """One matrix at a time: the loop the stacked pass must reproduce bit
+    for bit."""
+    d = m.shape[0]
+    q = np.zeros_like(m)
+    for j in range(d):
+        v = m[:, j].copy()
+        for i in range(j):
+            v -= (q[:, i].conj() @ v) * q[:, i]
+        nv = float(np.linalg.norm(v))
+        if nv <= 1e-12:
+            for basis in range(d):
+                v = np.zeros(d, dtype=np.complex128)
+                v[basis] = 1.0
+                for i in range(j):
+                    v -= (q[:, i].conj() @ v) * q[:, i]
+                nv = float(np.linalg.norm(v))
+                if nv > 1e-8:
+                    break
+        q[:, j] = v / nv
+    return q
+
+
+def _reference_stack(m):
+    return np.stack([_reference_gram_schmidt(m[i]) for i in range(m.shape[0])])
 
 
 def test_generate_is_deterministic():
@@ -59,6 +92,40 @@ def test_unitary_scaled_columns_are_orthogonal():
         assert np.allclose(op.conj().T @ op, scale_sq * np.eye(4), atol=1e-9 * scale_sq)
 
 
+@pytest.mark.parametrize("power", [-150, -13, 0, 13, 150])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 12, 16, 64])
+def test_stacked_gram_schmidt_equals_the_per_matrix_loop(d, power):
+    # at 1e-13 and 1e-150 the absolute collapse threshold sends columns
+    # through the basis-vector fallback
+    for n in range(1, 7):
+        m = PortableRng(100 * d + n).complex_normal((n, d, d)) * 10.0**power
+        got = _gram_schmidt_stack(m)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == _reference_stack(m).tobytes(), n
+
+
+def test_stacked_gram_schmidt_falls_back_on_the_collapsed_slices_only():
+    m = PortableRng(5).complex_normal((4, 7, 7))
+    m[1, :, 3] = 0.0
+    m[2, :, 5] = m[2, :, 2]
+    got = _gram_schmidt_stack(m)
+    assert got.tobytes() == _reference_stack(m).tobytes()
+    for q in got:
+        assert np.allclose(q.conj().T @ q, np.eye(7), atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unitary_scaled_equals_the_per_matrix_reference(seed):
+    rng = PortableRng(derive_seed(seed, KINDS.index("UnitaryScaled"), 16, 6))
+    base = rng.complex_normal((6, 16, 16))
+    scalars = rng.complex_normal(6)
+    weights = rng.complex_normal(6)
+    expected = np.stack([scalars[i] * _reference_gram_schmidt(base[i]) for i in range(6)])
+    w, fam, _ = generate(InstanceSpec("UnitaryScaled", 16, 6, seed))
+    assert w.tobytes() == weights.tobytes()
+    assert fam.ops.tobytes() == expected.tobytes()
+
+
 def test_rank_one_kind_matches_vector_family():
     from opsumbounds.vectors import rank_one_family
 
@@ -76,6 +143,10 @@ def test_spec_validation():
         InstanceSpec("GaussianDense", 3, 0, 0)
     with pytest.raises(InvalidSpec):
         InstanceSpec("GaussianDense", 3, 2, "0")
+    # bool is an int subclass; generate would fail inside the rng
+    for fields in ((True, 2, 0), (3, True, 0), (3, 2, False), (True, 2, False)):
+        with pytest.raises(InvalidSpec):
+            InstanceSpec("GaussianDense", *fields)
     with pytest.raises(InvalidSpec):
         InstanceSpec("BlockOrthogonal", 2, 3, 0)
     with pytest.raises(InvalidSpec):
@@ -121,6 +192,17 @@ def test_verify_records_spec_and_validates_tol():
     w, fam, _ = generate(spec)
     with pytest.raises(ValueError):
         verify_instance(w, fam, tol=0.0)
+
+
+def test_probes_are_cached_read_only_and_equal_a_fresh_draw():
+    probes = _probes(5, 3)
+    assert _probes(5, 3) is probes
+    assert len(probes) == 1 + _PROBE_COUNT
+    rng = PortableRng(derive_seed(_PROBE_SALT, 5, 3))
+    fresh = [np.ones(5, dtype=np.complex128)] + [rng.complex_normal(5) for _ in range(_PROBE_COUNT)]
+    for cached, drawn in zip(probes, fresh):
+        assert not cached.flags.writeable
+        assert cached.tobytes() == drawn.tobytes()
 
 
 def test_sweep_shape_and_order():

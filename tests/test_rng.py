@@ -7,6 +7,7 @@ in either implementation shows up immediately.
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -37,6 +38,21 @@ def test_raw_matches_published_splitmix64_vector():
 def test_raw_matches_scalar_oracle_across_seeds():
     for seed in (1, 7, 123456789, 2**63, MASK):
         got = [int(x) for x in PortableRng(seed).raw(10)]
+        assert got == _scalar_raw(seed, 10), seed
+
+
+def test_draws_are_silent_under_strict_floating_point_errors():
+    # the uint64 arithmetic wraps modulo 2**64 without any warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            pinned = [int(x) for x in PortableRng(0).raw(3)]
+            others = {seed: [int(x) for x in PortableRng(seed).raw(10)] for seed in (7, 2**63, MASK)}
+            PortableRng(9).complex_normal((3, 4))
+            PortableRng(9).permutation(6)
+            derive_seed(MASK, MASK, 3)
+    assert pinned == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    for seed, got in others.items():
         assert got == _scalar_raw(seed, 10), seed
 
 
