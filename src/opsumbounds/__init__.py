@@ -21,7 +21,6 @@ from .bounds import (
 from .cbs import (
     OperatorFamily,
     PsdGapResult,
-    as_family,
     as_weights,
     cbs_operator_gap,
 )
@@ -64,7 +63,6 @@ from .problemio import (
 from .rng import PortableRng, derive_seed
 from .vectors import (
     VectorFamily,
-    as_vector_family,
     bessel_weighting,
     gram_catalog_reports,
     rank_one_family,
@@ -94,8 +92,6 @@ __all__ = [
     "VerificationResult",
     "ZeroVector",
     "PortableRng",
-    "as_family",
-    "as_vector_family",
     "as_weights",
     "bessel_weighting",
     "bilinear_bound",

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cbs import as_family, as_weights
+from .cbs import OperatorFamily, as_weights
 from .errors import DimensionMismatch, InvalidExponent
 
 DEFAULT_GRID = (1.25, 1.5, 2.0, 3.0, 4.0)
@@ -190,11 +190,10 @@ def catalog_from_norm_data(abs_weights, norms, cross, lhs_sq, exponent_grid=None
             for (name, exps), bound in zip(labels, (np.concatenate(values) * float(scale)).tolist())]
 
 
-def catalog_reports(alpha, A, exponent_grid=None) -> list[BoundReport]:
+def catalog_reports(alpha, fam: OperatorFamily, exponent_grid=None) -> list[BoundReport]:
     """Every catalog bound on one instance, in fixed catalog order.  The grid
     is checked before anything is solved; the left side then shares the
     family's norm pass (OperatorFamily.weighted_sum_norm)."""
-    fam = as_family(A)
     w = as_weights(alpha, fam.count)
     grid = _validated_grid(exponent_grid)
     lhs_sq = fam.weighted_sum_norm(w) ** 2
@@ -217,9 +216,8 @@ def _probe_vector(x, dim: int) -> np.ndarray:
     return xv
 
 
-def vector_image_bound(alpha, A, x, M: float) -> tuple[float, float, bool]:
+def vector_image_bound(alpha, fam: OperatorFamily, x, M: float) -> tuple[float, float, bool]:
     """Check ||sum alpha_i A_i x||^2 <= M ||x||^2 for a concrete x."""
-    fam = as_family(A)
     w = as_weights(alpha, fam.count)
     xv = _probe_vector(x, fam.dim)
     img = np.einsum("i,iab,b->a", w, fam.ops, xv)
@@ -228,9 +226,8 @@ def vector_image_bound(alpha, A, x, M: float) -> tuple[float, float, bool]:
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
 
 
-def bilinear_bound(alpha, A, x, y, M: float) -> tuple[float, float, bool]:
+def bilinear_bound(alpha, fam: OperatorFamily, x, y, M: float) -> tuple[float, float, bool]:
     """Check |sum alpha_i (A_i x, y)|^2 <= M ||x||^2 ||y||^2."""
-    fam = as_family(A)
     w = as_weights(alpha, fam.count)
     xv = _probe_vector(x, fam.dim)
     yv = _probe_vector(y, fam.dim)

@@ -118,12 +118,6 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-def as_family(A) -> OperatorFamily:
-    if isinstance(A, OperatorFamily):
-        return A
-    return OperatorFamily(A)
-
-
 @dataclass(frozen=True)
 class PsdGapResult:
     """Outcome of the operator-order check.
@@ -149,14 +143,13 @@ def _psd_verdict(eigs: np.ndarray) -> tuple[float, float, bool]:
     return lo, norm, lo >= -linalg.PSD_TOL * max(1.0, norm)
 
 
-def cbs_operator_gap(z, A) -> PsdGapResult:
+def cbs_operator_gap(z, fam: OperatorFamily) -> PsdGapResult:
     """The PSD gap (sum |z_i|^2)(sum A_i A_i^*) - S S^* with S = sum z_i A_i.
 
     The assembled difference is symmetrized before eigenvalue analysis:
     the exact gap is self-adjoint, floating point is not quite.  The gap
     and the symmetrized S S^* go to the eigensolver as one stack.
     """
-    fam = as_family(A)
     w = as_weights(z, fam.count)
     s = np.einsum("i,iab->ab", w, fam.ops)
     inner = s @ s.conj().T

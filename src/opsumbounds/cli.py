@@ -7,8 +7,8 @@ Three subcommands:
   generated instance, exiting 1 when any check fails
 * ``sweep``   tabulate slack ratios over generated instances as CSV
 
-Exit codes: 0 success, 1 a verification check failed, 2 bad input,
-3 a norm iteration did not converge.
+Exit codes: 0 success, 1 a verification check failed, 2 bad input or
+an instance too large for memory, 3 a norm iteration did not converge.
 
 Reports are emitted with fixed key order, two-space indent, LF line
 endings, and 17 significant digits, so identical invocations produce
@@ -241,6 +241,9 @@ def main(argv=None) -> int:
         return 3
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

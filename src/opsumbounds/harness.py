@@ -8,14 +8,15 @@ platform, and the same verification numbers with it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bounds
-from .cbs import OperatorFamily, as_family, as_weights, cbs_operator_gap
+from .cbs import OperatorFamily, as_weights, cbs_operator_gap
 from .errors import InvalidSpec
 from .linalg import PSD_TOL
 from .problemio import format_float
@@ -63,9 +64,10 @@ def _gram_schmidt_stack(m: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns of each matrix of an (n, d, d) stack by
     modified Gram-Schmidt, one column of the whole stack at a time.
 
-    If a column collapses (numerically dependent input, essentially
-    impossible for Gaussian draws), it is replaced by the first basis
-    vector with a nonzero remainder against the columns built so far.
+    Raises ValueError when a column's residual is not above 1e-12 times
+    that column's norm (a numerically dependent input, which Gaussian
+    draws essentially never are).  The test is relative, so scaling the
+    stack by a power of two changes no bit of the result.
 
     Each slice gets the arithmetic of the one-matrix loop, in the same
     order, so the bits equal that loop's: each projection coefficient
@@ -73,6 +75,7 @@ def _gram_schmidt_stack(m: np.ndarray) -> np.ndarray:
     BLAS dot that a 1-d ``@`` and ``np.linalg.norm`` use.
     """
     d = m.shape[1]
+    floor = 1e-12 * np.linalg.norm(m, axis=1)
     # Column j of the result and its conjugate, each a contiguous (n, d)
     # array.  The dots must read unit-stride rows: BLAS sums a strided
     # vector in another order, and a column sliced out of a stored
@@ -86,16 +89,8 @@ def _gram_schmidt_stack(m: np.ndarray) -> np.ndarray:
         # np.linalg.norm's route: real part's dot plus imaginary part's dot
         re, im = v.real, v.imag
         nv = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
-        for k in np.flatnonzero(nv <= 1e-12):
-            for basis in range(d):
-                vk = np.zeros(d, dtype=np.complex128)
-                vk[basis] = 1.0
-                for i in range(j):
-                    vk -= (conj_cols[i][k] @ vk) * cols[i][k]
-                nk = float(np.linalg.norm(vk))
-                if nk > 1e-8:
-                    break
-            v[k], nv[k] = vk, nk
+        if not (nv > floor[:, j]).all():
+            raise ValueError(f"column {j} of a base matrix is numerically dependent on the columns before it")
         col = v / nv[:, None]
         cols.append(col)
         conj_cols.append(col.conj())
@@ -154,7 +149,6 @@ class CheckRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class VerificationResult:
-    spec: Optional[InstanceSpec]
     checks: list
     all_hold: bool
     worst_violation: float
@@ -180,8 +174,8 @@ def _probes(dim: int, count: int) -> tuple[np.ndarray, ...]:
     return probes
 
 
-def verify_instance(alpha, A, tol: float = 1e-9, *, exponent_grid=None,
-                    spec: Optional[InstanceSpec] = None) -> VerificationResult:
+def verify_instance(alpha, fam: OperatorFamily, tol: float = 1e-9, *,
+                    exponent_grid=None) -> VerificationResult:
     """Run every inequality in the catalog against one instance.
 
     Records, per check: name, the exact quantity being dominated, the
@@ -189,9 +183,8 @@ def verify_instance(alpha, A, tol: float = 1e-9, *, exponent_grid=None,
     tolerance, and the slack ratio.  The PSD checks use the relative
     eigenvalue tolerance PSD_TOL rather than tol.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    fam = as_family(A)
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     w = as_weights(alpha, fam.count)
     checks: list[CheckRecord] = []
 
@@ -230,7 +223,6 @@ def verify_instance(alpha, A, tol: float = 1e-9, *, exponent_grid=None,
     for c in checks:
         worst = max(worst, _violation(c.lhs, c.bound))
     return VerificationResult(
-        spec=spec,
         checks=checks,
         all_hold=all(c.holds for c in checks),
         worst_violation=worst,
@@ -239,7 +231,7 @@ def verify_instance(alpha, A, tol: float = 1e-9, *, exponent_grid=None,
 
 def verify_spec(spec: InstanceSpec, tol: float = 1e-9, *, exponent_grid=None) -> VerificationResult:
     weights, fam, _ = generate(spec)
-    return verify_instance(weights, fam, tol, exponent_grid=exponent_grid, spec=spec)
+    return verify_instance(weights, fam, tol, exponent_grid=exponent_grid)
 
 
 def slack_sweep(specs, exponent_grid=None) -> list[tuple]:

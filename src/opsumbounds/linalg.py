@@ -19,6 +19,7 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10000
+_MAX_SWEEPS = 100
 PSD_TOL = 1e-8
 
 _TINY = np.finfo(np.float64).tiny
@@ -199,7 +200,7 @@ def spectral_norms(ms) -> np.ndarray:
     return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), exps)
 
 
-def _jacobi_stack(ws: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
+def _jacobi_stack(ws: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending, one row per slice) of a stack of Hermitian
     matrices, by Jacobi sweeps in round-robin order (Brent & Luk, 1985).
 
@@ -216,7 +217,7 @@ def _jacobi_stack(ws: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
     with |h| <= tol ||W||_F / (4 d^2) are skipped.  The diagonal is read
     as its real part.  A slice is done, and leaves the active set, when
     the Frobenius mass of its off-diagonal part is at most tol ||W||_F,
-    tested before each sweep.  Raises NoConvergence after max_sweeps.
+    tested before each sweep.  Raises NoConvergence after _MAX_SWEEPS.
     """
     m, d, _ = ws.shape
     pad = d % 2
@@ -229,7 +230,7 @@ def _jacobi_stack(ws: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
     off = ~np.eye(n, dtype=bool)
     out = np.zeros((m, n))
     idx = np.arange(m)
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(_MAX_SWEEPS + 1):
         # summed directly off the off-diagonal entries: subtracting the
         # diagonal mass from the total would cancel catastrophically and
         # bottom out near eps * ||w||^2, far above target^2
@@ -241,7 +242,7 @@ def _jacobi_stack(ws: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
             if not keep.any():
                 break
             idx, w, target, skip = idx[keep], w[keep], target[keep], skip[keep]
-        if sweep == max_sweeps:
+        if sweep == _MAX_SWEEPS:
             raise NoConvergence("jacobi sweep limit reached")
         for _ in range(n - 1):
             dg = w.diagonal(axis1=1, axis2=2).real

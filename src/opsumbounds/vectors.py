@@ -74,20 +74,13 @@ class VectorFamily:
         return float(linalg.spectral_norms(((u * (w * self.norms)) @ u.conj().T)[None])[0]) ** 2
 
 
-def as_vector_family(Y) -> VectorFamily:
-    if isinstance(Y, VectorFamily):
-        return Y
-    return VectorFamily(Y)
-
-
-def rank_one_family(Y) -> OperatorFamily:
+def rank_one_family(vf: VectorFamily) -> OperatorFamily:
     """Materialize A_i = y_i y_i^H / ||y_i|| as explicit matrices."""
-    vf = as_vector_family(Y)
     ops = np.einsum("ia,ib->iab", vf.vectors, vf.vectors.conj()) / vf.norms[:, None, None]
     return OperatorFamily(ops)
 
 
-def verify_identities(Y) -> bool:
+def verify_identities(vf: VectorFamily) -> bool:
     """Check ||A_i|| = ||y_i|| and ||A_i A_j^H|| = |(y_i, y_j)| numerically,
     to a relative deviation of 1e-9.
 
@@ -95,7 +88,6 @@ def verify_identities(Y) -> bool:
     dominates both sides, so exactly orthogonal pairs are checked at the
     right scale instead of against a zero denominator.
     """
-    vf = as_vector_family(Y)
     fam = rank_one_family(vf)
     norm_dev = float((np.abs(fam.norms - vf.norms) / vf.norms).max())
     pair_scale = np.outer(vf.norms, vf.norms)
@@ -103,11 +95,10 @@ def verify_identities(Y) -> bool:
     return norm_dev <= 1e-9 and cross_dev <= 1e-9
 
 
-def gram_catalog_reports(alpha, Y, x_norm_sq: float, exponent_grid=None) -> list[BoundReport]:
+def gram_catalog_reports(alpha, vf: VectorFamily, x_norm_sq: float, exponent_grid=None) -> list[BoundReport]:
     """The full catalog on ||sum alpha_i (x, y_i) y_i / ||y_i||||^2, in
     catalog order, computed from the Gram matrix only and scaled by
     x_norm_sq = ||x||^2."""
-    vf = as_vector_family(Y)
     w = as_weights(alpha, vf.count)
     if not (x_norm_sq >= 0.0 and np.isfinite(x_norm_sq)):
         raise ValueError(f"x_norm_sq must be finite and nonnegative, got {x_norm_sq}")
@@ -115,7 +106,7 @@ def gram_catalog_reports(alpha, Y, x_norm_sq: float, exponent_grid=None) -> list
                                   exponent_grid, scale=float(x_norm_sq))
 
 
-def bessel_weighting(Y) -> np.ndarray:
+def bessel_weighting(vf: VectorFamily) -> np.ndarray:
     """Weights alpha_i = ||y_i||, turning the bounded quantity into the
     frame-operator image sum (x, y_i) y_i."""
-    return as_vector_family(Y).norms.copy()
+    return vf.norms.copy()

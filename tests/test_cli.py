@@ -119,6 +119,30 @@ def test_bad_inputs_exit_2(ops_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_a_tol_that_is_not_finite(ops_file, capsys):
+    # 1e400 parses to inf; an infinite tol turns 0 * tol into nan
+    for tol in ("inf", "1e400"):
+        assert main(["verify", "--kind", "GaussianDense", "--dim", "4", "--count", "2",
+                     "--seed", "1", "--tol", tol]) == 2
+        assert "tol" in capsys.readouterr().err
+        assert main(["verify", "--input", ops_file, "--tol", tol]) == 2
+        assert "tol" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    from opsumbounds import harness
+
+    def too_big(spec):
+        raise MemoryError(f"no room for dim {spec.dim}")
+
+    monkeypatch.setattr(harness, "generate", too_big)
+    assert main(["verify", "--kind", "GaussianDense", "--dim", "20000", "--count", "8"]) == 2
+    assert "error: out of memory: no room for dim 20000" in capsys.readouterr().err
+    assert main(["sweep", "--kind", "GaussianDense", "--dim", "20000", "--count", "8",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert "error: out of memory" in capsys.readouterr().err
+
+
 def test_usage_errors_from_argparse(capsys):
     with pytest.raises(SystemExit) as err:
         main(["bound"])

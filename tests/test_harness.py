@@ -31,17 +31,7 @@ def _reference_gram_schmidt(m):
         v = m[:, j].copy()
         for i in range(j):
             v -= (q[:, i].conj() @ v) * q[:, i]
-        nv = float(np.linalg.norm(v))
-        if nv <= 1e-12:
-            for basis in range(d):
-                v = np.zeros(d, dtype=np.complex128)
-                v[basis] = 1.0
-                for i in range(j):
-                    v -= (q[:, i].conj() @ v) * q[:, i]
-                nv = float(np.linalg.norm(v))
-                if nv > 1e-8:
-                    break
-        q[:, j] = v / nv
+        q[:, j] = v / float(np.linalg.norm(v))
     return q
 
 
@@ -95,8 +85,6 @@ def test_unitary_scaled_columns_are_orthogonal():
 @pytest.mark.parametrize("power", [-150, -13, 0, 13, 150])
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 12, 16, 64])
 def test_stacked_gram_schmidt_equals_the_per_matrix_loop(d, power):
-    # at 1e-13 and 1e-150 the absolute collapse threshold sends columns
-    # through the basis-vector fallback
     for n in range(1, 7):
         m = PortableRng(100 * d + n).complex_normal((n, d, d)) * 10.0**power
         got = _gram_schmidt_stack(m)
@@ -104,12 +92,18 @@ def test_stacked_gram_schmidt_equals_the_per_matrix_loop(d, power):
         assert got.tobytes() == _reference_stack(m).tobytes(), n
 
 
-def test_stacked_gram_schmidt_falls_back_on_the_collapsed_slices_only():
+def test_stacked_gram_schmidt_raises_on_a_dependent_column():
     m = PortableRng(5).complex_normal((4, 7, 7))
-    m[1, :, 3] = 0.0
-    m[2, :, 5] = m[2, :, 2]
+    zero, repeated = m.copy(), m.copy()
+    zero[1, :, 3] = 0.0
+    repeated[2, :, 5] = repeated[2, :, 2]
+    for bad in (zero, repeated):
+        with pytest.raises(ValueError, match="numerically dependent"):
+            _gram_schmidt_stack(bad)
+    # the collapse test is relative: scaling by 2^-500 (exact) changes no
+    # bit, where an absolute 1e-12 threshold would call every column collapsed
     got = _gram_schmidt_stack(m)
-    assert got.tobytes() == _reference_stack(m).tobytes()
+    assert _gram_schmidt_stack(m * 2.0**-500).tobytes() == got.tobytes()
     for q in got:
         assert np.allclose(q.conj().T @ q, np.eye(7), atol=1e-12)
 
@@ -185,13 +179,13 @@ def test_verify_single_operator_slack_is_unit():
         assert c.slack_ratio == pytest.approx(1.0, rel=1e-9), c.name
 
 
-def test_verify_records_spec_and_validates_tol():
-    spec = InstanceSpec("GaussianDense", 3, 2, 1)
-    res = verify_spec(spec)
-    assert res.spec == spec
-    w, fam, _ = generate(spec)
-    with pytest.raises(ValueError):
-        verify_instance(w, fam, tol=0.0)
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("inf"), float("nan")])
+def test_verify_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    # with zero weights an infinite tol made every catalog check
+    # 0 <= 0 * inf = nan, a failure
+    _, fam, _ = generate(InstanceSpec("GaussianDense", 4, 2, 1))
+    with pytest.raises(ValueError, match="tol"):
+        verify_instance(np.zeros(2), fam, tol=tol)
 
 
 def test_probes_are_cached_read_only_and_equal_a_fresh_draw():

@@ -1,7 +1,9 @@
-"""Modules of the package use only each other's public names, and the
-engine's tolerances are module constants rather than parameters."""
+"""Modules of the package use only each other's public names, the
+engine's tolerances are module constants rather than parameters, and
+the public functions take family objects rather than coercing arrays."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -56,9 +58,9 @@ def test_no_module_uses_a_sibling_private_name():
     assert found == []
 
 
-# each public function and the parameters it no longer takes: the values
-# are DEFAULT_TOL, DEFAULT_MAX_ITER, PSD_TOL, ORTHOGONAL_TOL and the
-# harness's fixed probe salt
+# each function and the parameters it does not take: the values are
+# DEFAULT_TOL, DEFAULT_MAX_ITER, _MAX_SWEEPS, PSD_TOL, ORTHOGONAL_TOL, the
+# harness's fixed probe salt, and the spec that verify_spec's caller holds
 FIXED_KNOBS = [
     (linalg.spectral_norm, {"tol", "max_iter"}),
     (linalg.spectral_norms, {"tol", "max_iter"}),
@@ -67,7 +69,7 @@ FIXED_KNOBS = [
     (bounds.catalog_from_norm_data, {"orthogonal_tol"}),
     (bounds.catalog_reports, {"orthogonal_tol"}),
     (vectors.gram_catalog_reports, {"orthogonal_tol"}),
-    (harness.verify_instance, {"probe_seed"}),
+    (harness.verify_instance, {"probe_seed", "spec"}),
     (vectors.verify_identities, {"tol"}),
 ]
 
@@ -79,3 +81,13 @@ def test_engine_tolerances_are_not_parameters():
     # the CLI's --tol still reaches the harness
     assert "tol" in inspect.signature(harness.verify_instance).parameters
     assert not hasattr(cbs, "cbs_norm_check") and not hasattr(bounds, "HolderPair")
+    assert list(inspect.signature(linalg._jacobi_stack).parameters) == ["ws"]
+    assert "spec" not in {f.name for f in dataclasses.fields(harness.VerificationResult)}
+
+
+def test_families_are_taken_as_given():
+    # every caller builds the family once; no public function coerces arrays
+    assert not hasattr(cbs, "as_family") and not hasattr(vectors, "as_vector_family")
+    assert not {"as_family", "as_vector_family"} & set(opsumbounds.__all__)
+    # as_weights stays: weights do arrive raw
+    assert "as_weights" in opsumbounds.__all__

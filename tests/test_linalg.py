@@ -200,7 +200,7 @@ def _assert_slices_match_eigvalsh(stack, got):
         assert np.abs(got[i] - ref).max() <= 1e-10 * scale, i
 
 
-def test_jacobi_stack_mixed_slices():
+def test_jacobi_stack_mixed_slices(monkeypatch):
     rng = PortableRng(9191)
     stack = np.zeros((5, 6, 6), dtype=complex)
     stack[1] = np.diag([3.0, -1.0, 0.5, 0.0, 2.0, -4.0])            # already diagonal
@@ -214,10 +214,12 @@ def test_jacobi_stack_mixed_slices():
     _assert_slices_match_eigvalsh(stack, got)
     assert np.all(got[0] == 0.0)
     assert np.array_equal(got[1], np.sort(stack[1].diagonal().real))
-    # the slices leave the active set after different sweep counts
-    linalg._jacobi_stack(stack[:3], max_sweeps=1)
+    # the slices leave the active set after different sweep counts; the
+    # sweep budget is _MAX_SWEEPS, read at call time
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    linalg._jacobi_stack(stack[:3])
     with pytest.raises(NoConvergence):
-        linalg._jacobi_stack(stack[4:], max_sweeps=1)
+        linalg._jacobi_stack(stack[4:])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 15, 16])

@@ -29,10 +29,10 @@ def _random_vectors(seed, d, n):
 
 
 def test_rank_one_hand_cases():
-    fam = rank_one_family([np.array([1.0, 0.0])])
+    fam = rank_one_family(VectorFamily([[1.0, 0.0]]))
     assert np.allclose(fam.ops[0], np.diag([1.0, 0.0]))
     # scaling the vector by 2 scales the operator by 2, not 4
-    fam2 = rank_one_family([np.array([2.0, 0.0])])
+    fam2 = rank_one_family(VectorFamily([[2.0, 0.0]]))
     assert np.allclose(fam2.ops[0], np.diag([2.0, 0.0]))
 
 
@@ -40,7 +40,7 @@ def test_norm_and_cross_identities():
     for seed in range(12):
         _, vf = _random_vectors(500 + seed, d=2 + seed % 7, n=1 + seed % 8)
         assert verify_identities(vf)
-    assert verify_identities(np.eye(5))
+    assert verify_identities(VectorFamily(np.eye(5)))
 
 
 def test_family_validation():
@@ -100,7 +100,7 @@ def test_probe_norm_scale_multiplies_bounds():
 def test_particular_bounds_orthonormal_basis():
     n = 4
     a = np.ones(n)
-    catalog = gram_catalog_reports(a, np.eye(n), 3.0, exponent_grid=(1.5, 2.0))
+    catalog = gram_catalog_reports(a, VectorFamily(np.eye(n)), 3.0, exponent_grid=(1.5, 2.0))
     reps = [
         _entry(catalog, "cross_total"),
         _entry(catalog, "holder_count", "p=2,q=2"),
@@ -118,7 +118,7 @@ def test_particular_bounds_single_vector():
     y = np.array([1.0 + 2.0j, 0.5])
     xns = 1.75
     expected = xns * abs(3.0 - 1.0j) ** 2 * float((np.abs(y) ** 2).sum())
-    catalog = gram_catalog_reports([3.0 - 1.0j], [y], xns, exponent_grid=(2.0, 3.0))
+    catalog = gram_catalog_reports([3.0 - 1.0j], VectorFamily([y]), xns, exponent_grid=(2.0, 3.0))
     for rep in [
         _entry(catalog, "cross_total"),
         _entry(catalog, "holder_count", "p=3,q=1.5"),
@@ -144,8 +144,8 @@ def test_bounds_dominate_direct_image_sums():
 
 
 def test_bessel_weighting():
-    assert np.allclose(bessel_weighting(np.eye(3)), np.ones(3))
-    y = [np.array([2.0, 0.0]), np.array([0.0, 3.0])]
+    assert np.allclose(bessel_weighting(VectorFamily(np.eye(3))), np.ones(3))
+    y = VectorFamily([[2.0, 0.0], [0.0, 3.0]])
     got = bessel_weighting(y)
     assert got == pytest.approx([2.0, 3.0])
     got[0] = -99.0
