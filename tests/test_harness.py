@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -197,6 +198,37 @@ def test_probes_are_cached_read_only_and_equal_a_fresh_draw():
     for cached, drawn in zip(probes, fresh):
         assert not cached.flags.writeable
         assert cached.tobytes() == drawn.tobytes()
+
+
+# sha256 of generate()'s weights and operators over every kind on a small
+# (dim, count, seed) grid, then of criterion 2's eight probe draws per
+# spec.  It pins this platform's np.log1p/np.cos/np.sin bits (x86-64
+# with AVX-512, numpy 2.4.6) as well as the stream itself; ROADMAP item
+# 5 re-pins it when the normals stop depending on the CPU.
+FROZEN_GENERATION_DIGEST = "aef203a82396a8b3c77d66c87505735c726ef5b50b832dd1bdc0ddcc8a79a503"
+
+
+def _generation_digest():
+    h = hashlib.sha256()
+    for kind in KINDS:
+        for d in (1, 2, 3, 5, 8, 13):
+            for n in (1, 2, 4):
+                if kind in ("BlockOrthogonal", "OrthonormalRankOne") and d < n:
+                    continue
+                for seed in range(4):
+                    w, fam, _ = generate(InstanceSpec(kind, d, n, seed))
+                    h.update(w.tobytes())
+                    h.update(fam.ops.tobytes())
+                    prng = PortableRng(derive_seed(0xACC, seed, d, n))
+                    for _ in range(8):
+                        h.update(prng.complex_normal(d).tobytes())
+    return h.hexdigest()
+
+
+def test_frozen_generation_digest():
+    """Generated inputs are pinned bit for bit: a change to how the
+    stream is drawn must not move a single generated value."""
+    assert _generation_digest() == FROZEN_GENERATION_DIGEST
 
 
 def test_sweep_shape_and_order():

@@ -4,14 +4,20 @@ The vectorized uint64 arithmetic in rng.py is rebuilt here with plain
 Python integers, and the raw stream is additionally pinned to the
 published splitmix64 reference outputs for seed 0, so a silent change
 in either implementation shows up immediately.
+
+No test here pins a normal by digest: the normals are checked against
+the same numpy calls made per draw, so the file passes on any numpy
+SIMD path.
 """
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 
-from opsumbounds.rng import PortableRng, derive_seed
+from opsumbounds import rng as rng_module
+from opsumbounds.rng import _BLOCK, PortableRng, derive_seed
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -126,6 +132,107 @@ def test_derive_seed_matches_scalar_oracle():
         return z
 
     assert derive_seed(5, 1, 2, 3) == scalar_derive(5, 1, 2, 3)
+    for seed in (-1, -(2**63), 2**64 + 3, -(2**70)):
+        for tags in ((), (2**64,), (2**64 + 5, -7), (2**80, 3, -(2**65))):
+            assert derive_seed(seed, *tags) == scalar_derive(seed, *tags), (seed, tags)
     assert derive_seed(0) == 0
     assert derive_seed(9, 4) != derive_seed(9, 5)
     assert derive_seed(9, 4, 0) != derive_seed(9, 4)
+
+
+def _uniforms(seed, n, offset):
+    return np.array([(x >> 11) * 2.0**-53 for x in _scalar_raw(seed, n, offset)])
+
+
+def _box_muller(u, n):
+    # one draw of n normals from its own uniforms, with the numpy calls
+    # of the generator
+    pairs = (n + 1) // 2
+    radius = np.sqrt(-2.0 * np.log1p(-u[:pairs]))
+    angle = 2.0 * np.pi * u[pairs:]
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+def _expected(seed, method, k, offset):
+    """Expected result of one draw of size k at a counter offset, and the
+    words it uses."""
+    if method == "raw":
+        return np.array(_scalar_raw(seed, k, offset), dtype=np.uint64), k
+    if method == "uniform":
+        return _uniforms(seed, k, offset), k
+    if method == "permutation":
+        u = _uniforms(seed, k, offset)
+        return np.array(sorted(range(k), key=lambda i: u[i]), dtype=np.intp), k
+    n = k if method == "standard_normal" else 2 * k
+    used = 2 * ((n + 1) // 2)
+    z = _box_muller(_uniforms(seed, used, offset), n)
+    if method == "complex_normal":
+        z = z[:k] + 1j * z[k:]
+    return z, used
+
+
+METHODS = ("raw", "uniform", "standard_normal", "complex_normal", "permutation")
+SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK)
+
+
+def _interleaved(r):
+    # every (method, size) pair once: gcd(5, 6) = 1
+    return [(m, k, getattr(r, m)(k)) for m, k in
+            ((METHODS[i % 5], SIZES[i % 6]) for i in range(30))]
+
+
+def test_interleaved_draws_across_block_boundaries():
+    seed = 2024
+    offset = 0
+    for method, k, got in _interleaved(PortableRng(seed)):
+        want, used = _expected(seed, method, k, offset)
+        assert got.dtype == want.dtype and got.shape == want.shape, (method, k)
+        assert got.tobytes() == want.tobytes(), (method, k, offset)
+        offset += used
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 1000])
+def test_bits_do_not_depend_on_the_block_size(monkeypatch, block):
+    default = _interleaved(PortableRng(77))
+    monkeypatch.setattr(rng_module, "_BLOCK", block)
+    for (m, k, want), (_, _, got) in zip(default, _interleaved(PortableRng(77))):
+        assert got.tobytes() == want.tobytes(), (m, k)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_draws_own_their_data(method):
+    r, twin = PortableRng(5), PortableRng(5)
+    got = getattr(r, method)(3)
+    getattr(twin, method)(3)
+    assert got.flags.owndata and got.flags.writeable
+    assert got.base is None
+    got[...] = 0
+    # the next draw comes from the same block and is unchanged
+    assert r.uniform(4).tobytes() == twin.uniform(4).tobytes()
+    assert r.complex_normal((2, 2)).tobytes() == twin.complex_normal((2, 2)).tobytes()
+
+
+@pytest.mark.parametrize("method, size", [
+    ("raw", 2.5),
+    ("raw", -2),
+    ("raw", True),
+    ("uniform", -1),
+    ("uniform", np.int64(3)),
+    ("permutation", False),
+    ("standard_normal", -3),
+    ("standard_normal", (2, 1.5)),
+    ("complex_normal", (2, -1)),
+    ("complex_normal", True),
+    ("complex_normal", (3, True)),
+])
+def test_an_invalid_size_is_rejected_before_the_stream_moves(method, size):
+    r = PortableRng(31)
+    first = r.raw(3)
+    with pytest.raises(ValueError, match="non-negative int"):
+        getattr(r, method)(size)
+    assert [int(x) for x in first] == _scalar_raw(31, 3)
+    assert [int(x) for x in r.raw(2)] == _scalar_raw(31, 2, offset=3)
+    assert r.uniform(1).tobytes() == _uniforms(31, 1, 5).tobytes()
