@@ -7,8 +7,9 @@ Three subcommands:
   generated instance, exiting 1 when any check fails
 * ``sweep``   tabulate slack ratios over generated instances as CSV
 
-Exit codes: 0 success, 1 a verification check failed, 2 bad input or
-an instance too large for memory, 3 a norm iteration did not converge.
+Exit codes: 0 success, 1 a verification check failed, 2 bad input, an
+instance too large for memory or an arithmetic overflow, 3 a norm
+iteration did not converge.
 
 Reports are emitted with fixed key order, two-space indent, LF line
 endings, and 17 significant digits, so identical invocations produce
@@ -244,6 +245,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: arithmetic overflow: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,10 +1,10 @@
 """Dense complex linear algebra with explicit, checkable iterations.
 
 Everything downstream consumes this module: spectral norms via power
-iteration, and Hermitian eigenvalues via Jacobi sweeps in round-robin
-order, which rotate every slice of a stack at once.  The two eigenvalue
-routes are kept side by side on purpose so each can serve as an
-independent oracle for the other.
+iteration, and Hermitian eigenvalues via Jacobi sweeps in a round-robin
+order cached per size, which rotate every slice of a stack at once in
+its own index order.  The two eigenvalue routes are kept side by side
+on purpose so each can serve as an independent oracle for the other.
 """
 
 from __future__ import annotations
@@ -200,29 +200,49 @@ def spectral_norms(ms) -> np.ndarray:
     return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), exps)
 
 
+@lru_cache(maxsize=64)
+def _round_robin(n: int) -> tuple:
+    """The n-1 rounds of a sweep on n (even) indices, cached, read-only:
+    per round, the flat positions of the k = n/2 pivots (p, q) and of
+    their diagonal entries, (3, k), and per index its partner, pivot
+    number s and side (s for p_s, k+s for q_s).  Slot s pairs with slot
+    n-1-s; index 0 stays in slot 0, and index j > 0 is in slot
+    (j-1+r) % (n-1) + 1 in round r, so every pair meets once.
+    """
+    k = n // 2
+    r = np.arange(n - 1)[:, None]
+    slots = np.hstack([np.zeros_like(r), (np.arange(n - 1) - r) % (n - 1) + 1])
+    p, q = slots[:, :k], slots[:, : k - 1 : -1]
+    at = np.argsort(slots, axis=1)
+    side = np.r_[0:k, n - 1 : k - 1 : -1][at]
+    rounds = (np.stack([p * n + q, p * (n + 1), q * (n + 1)], axis=1),
+              np.take_along_axis(slots[:, ::-1], at, axis=1), side % k, side)
+    for a in rounds:
+        a.flags.writeable = False
+    return rounds
+
+
 def _jacobi_stack(ws: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending, one row per slice) of a stack of Hermitian
     matrices, by Jacobi sweeps in round-robin order (Brent & Luk, 1985).
 
-    A matrix of odd size d is bordered by a zero row and column in slot
-    0, which pairs only with zero pivots and so is never rotated.  Each
-    sweep has n-1 rounds of n/2 disjoint pivots (s, n-1-s), applied to
-    every slice at once: column s is updated from columns s and n-1-s,
-    which the reversed view W[:, ::-1] lines up, and then the rows the
-    same way, so a round costs O(n^2) per slice.  After the round the
-    indices in slots 1..n-1 move one slot on (n-1 wraps to 1) and slot 0
-    stays; over n-1 rounds every pair meets once.  A pivot h is reduced
-    to a real 2x2 problem through its phase and annihilated by the
-    classical rotation, up to rounding; with tol = DEFAULT_TOL, pivots
-    with |h| <= tol ||W||_F / (4 d^2) are skipped.  The diagonal is read
-    as its real part.  A slice is done, and leaves the active set, when
-    the Frobenius mass of its off-diagonal part is at most tol ||W||_F,
-    tested before each sweep.  Raises NoConvergence after _MAX_SWEEPS.
+    A matrix of odd size d is bordered by a zero row and column at index
+    0, which pairs only with zero pivots and so is never rotated.  A
+    sweep is the n-1 rounds of n/2 disjoint pivots of _round_robin, each
+    applied to every slice at once in the matrix's own index order: a
+    gather reads the pivots and their diagonal entries, and each column,
+    then each row, is updated from itself and its partner, so a round
+    costs O(n^2) per slice.  A pivot h is reduced to a real 2x2 problem
+    through its phase and annihilated by the classical rotation, up to
+    rounding; with tol = DEFAULT_TOL, pivots with |h| <= tol ||W||_F /
+    (4 d^2) are skipped.  The diagonal is read as its real part.  A
+    slice is done, and leaves the active set, when the Frobenius mass of
+    its off-diagonal part is at most tol ||W||_F, tested before each
+    sweep.  Raises NoConvergence after _MAX_SWEEPS.
     """
     m, d, _ = ws.shape
     pad = d % 2
     n = d + pad
-    k = n // 2
     w = np.zeros((m, n, n), dtype=np.complex128)
     w[:, pad:, pad:] = ws
     target = DEFAULT_TOL * np.sqrt((w.real**2 + w.imag**2).sum(axis=(1, 2)))
@@ -244,9 +264,9 @@ def _jacobi_stack(ws: np.ndarray) -> np.ndarray:
             idx, w, target, skip = idx[keep], w[keep], target[keep], skip[keep]
         if sweep == _MAX_SWEEPS:
             raise NoConvergence("jacobi sweep limit reached")
-        for _ in range(n - 1):
-            dg = w.diagonal(axis1=1, axis2=2).real
-            h = w[:, :, ::-1].diagonal(axis1=1, axis2=2)[:, :k]
+        for gather, partner, pair, side in zip(*_round_robin(n)):
+            piv = w.reshape(len(w), n * n).take(gather, axis=1)
+            h = piv[:, 0]
             ah = np.abs(h)
             live = ah > skip
             h = h * live
@@ -255,19 +275,16 @@ def _jacobi_stack(ws: np.ndarray) -> np.ndarray:
             # multiplying top and bottom by 2 |h| gives t = g |h|, which cannot
             # overflow for small |h|.  The floor keeps a skipped pivot between
             # equal diagonal entries at t = 0 instead of 0/0.
-            diff = dg[:, : k - 1 : -1] - dg[:, :k]
+            diff = piv[:, 2].real - piv[:, 1].real
             g = np.copysign(2.0, diff) / np.maximum(np.abs(diff) + np.hypot(diff, 2.0 * ah), _TINY)
             c = 1.0 / np.sqrt(1.0 + (g * ah) ** 2)
             sp = c * g * h
-            # slot s gets coefficient cs on itself and ss on its partner
-            # n-1-s; the columns, then the rows, are updated and moved on
-            # to the next round's slots
-            cs = np.concatenate([c, c[:, ::-1]], axis=1)
-            ss = np.concatenate([-sp.conj(), sp[:, ::-1]], axis=1)
-            x = w * cs[:, None, :] + w[:, :, ::-1] * ss[:, None, :]
-            x = np.concatenate([x[:, :, :1], x[:, :, -1:], x[:, :, 1:-1]], axis=2)
-            y = x * cs[:, :, None] + x[:, ::-1, :] * ss.conj()[:, :, None]
-            w = np.concatenate([y[:, :1], y[:, -1:], y[:, 1:-1]], axis=1)
+            # p_s gets coefficient c on itself and -conj(sp) on q_s, and
+            # q_s gets c on itself and sp on p_s
+            cs = c.take(pair, axis=1)
+            ss = np.concatenate([-sp.conj(), sp], axis=1).take(side, axis=1)
+            x = w * cs[:, None, :] + w.take(partner, axis=2) * ss[:, None, :]
+            w = x * cs[:, :, None] + x.take(partner, axis=1) * ss.conj()[:, :, None]
     return np.sort(out[:, pad:], axis=1)
 
 
@@ -301,6 +318,3 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     w = 0.5 * (scaled + scaled.conj().transpose(0, 2, 1))
     eigs = np.ldexp(_jacobi_stack(w), exps[:, None])
     return eigs[0] if a.ndim == 2 else eigs
-
-
-

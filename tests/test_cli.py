@@ -176,6 +176,21 @@ def test_nonconvergence_exits_3(ops_file, capsys, monkeypatch):
     assert "error" in capsys.readouterr().err
 
 
+def test_arithmetic_overflow_exits_2(ops_file, capsys, monkeypatch):
+    from opsumbounds import bounds
+
+    def _overflow(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(bounds, "catalog_reports", _overflow)
+    assert main(["bound", "--input", ops_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: arithmetic overflow: (34, 'Numerical result out of range')\n"
+    assert main(["verify", "--input", ops_file]) == 2
+    assert "error: arithmetic overflow" in capsys.readouterr().err
+
+
 def test_bad_grid_exits_2_before_any_norm_is_solved(ops_file, capsys, monkeypatch):
     from opsumbounds import linalg
 

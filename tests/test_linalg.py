@@ -281,3 +281,144 @@ def test_perturbation_is_cached_and_read_only():
     assert linalg._perturbation(5) is p
     assert not p.flags.writeable
     assert np.linalg.norm(p) == pytest.approx(1.0, rel=1e-15)
+
+
+def _slot_moving_jacobi(ws):
+    # The round-robin Jacobi as first written: the matrix is physically
+    # moved between slots after every round, the pivots are read through
+    # reversed views and the coefficients concatenated from reversed
+    # copies.  _jacobi_stack must match it bit for bit.
+    m, d, _ = ws.shape
+    pad = d % 2
+    n = d + pad
+    k = n // 2
+    w = np.zeros((m, n, n), dtype=np.complex128)
+    w[:, pad:, pad:] = ws
+    target = linalg.DEFAULT_TOL * np.sqrt((w.real**2 + w.imag**2).sum(axis=(1, 2)))
+    skip = target[:, None] / (4.0 * d * d)
+    off = ~np.eye(n, dtype=bool)
+    out = np.zeros((m, n))
+    idx = np.arange(m)
+    for sweep in range(linalg._MAX_SWEEPS + 1):
+        off_sq = ((w.real**2 + w.imag**2) * off).sum(axis=(1, 2))
+        finished = off_sq <= target * target
+        if finished.any():
+            out[idx[finished]] = w[finished].diagonal(axis1=1, axis2=2).real
+            keep = ~finished
+            if not keep.any():
+                break
+            idx, w, target, skip = idx[keep], w[keep], target[keep], skip[keep]
+        if sweep == linalg._MAX_SWEEPS:
+            raise NoConvergence("jacobi sweep limit reached")
+        for _ in range(n - 1):
+            dg = w.diagonal(axis1=1, axis2=2).real
+            h = w[:, :, ::-1].diagonal(axis1=1, axis2=2)[:, :k]
+            ah = np.abs(h)
+            live = ah > skip
+            h = h * live
+            ah = ah * live
+            diff = dg[:, : k - 1 : -1] - dg[:, :k]
+            g = np.copysign(2.0, diff) / np.maximum(np.abs(diff) + np.hypot(diff, 2.0 * ah), linalg._TINY)
+            c = 1.0 / np.sqrt(1.0 + (g * ah) ** 2)
+            sp = c * g * h
+            cs = np.concatenate([c, c[:, ::-1]], axis=1)
+            ss = np.concatenate([-sp.conj(), sp[:, ::-1]], axis=1)
+            x = w * cs[:, None, :] + w[:, :, ::-1] * ss[:, None, :]
+            x = np.concatenate([x[:, :, :1], x[:, :, -1:], x[:, :, 1:-1]], axis=2)
+            y = x * cs[:, :, None] + x[:, ::-1, :] * ss.conj()[:, :, None]
+            w = np.concatenate([y[:, :1], y[:, -1:], y[:, 1:-1]], axis=1)
+    return np.sort(out[:, pad:], axis=1)
+
+
+def _assert_bitwise_as_slot_moving(stack):
+    got = linalg._jacobi_stack(stack)
+    assert got.tobytes() == _slot_moving_jacobi(stack).tobytes(), stack.shape
+
+
+def _hermitian_stack(seed, m, d):
+    a = PortableRng(seed).complex_normal((m, d, d))
+    return a + a.conj().transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_jacobi_stack_is_bitwise_the_slot_moving_kernel(d):
+    stack = _hermitian_stack(8800 + d, 3, d)
+    for scale in (1e-150, 1.0, 1e150):
+        _assert_bitwise_as_slot_moving(stack * scale)
+    _assert_bitwise_as_slot_moving(stack[1:2])
+    # rank-deficient: exact zero rows and columns, and a low-rank product
+    holed = stack.copy()
+    holed[:, d // 2, :] = 0.0
+    holed[:, :, d // 2] = 0.0
+    holed[0, -1, :] = holed[0, :, -1] = 0.0
+    _assert_bitwise_as_slot_moving(holed)
+    r = PortableRng(9900 + d).complex_normal((2, d, max(1, d // 3)))
+    _assert_bitwise_as_slot_moving(r @ r.conj().transpose(0, 2, 1))
+    # negative zeros, on and off the diagonal
+    signed = stack.copy()
+    signed[:, 0, :] = signed[:, :, 0] = -0.0
+    signed.real[:, d // 2, d // 2] = -0.0
+    assert np.signbit(signed.real).any()
+    _assert_bitwise_as_slot_moving(signed)
+
+
+def test_jacobi_stack_is_bitwise_the_slot_moving_kernel_across_sweep_counts():
+    # an already diagonal slice leaves before the first sweep, a slice
+    # with one pivot after one, the dense slices after several
+    stack = np.zeros((4, 9, 9), dtype=np.complex128)
+    stack[0] = np.diag(np.arange(9.0))
+    stack[1] = np.diag(np.arange(9.0) - 4.0)
+    stack[1][2, 6] = 0.5 - 0.25j
+    stack[1][6, 2] = 0.5 + 0.25j
+    stack[2:] = _hermitian_stack(8711, 2, 9)
+    _assert_bitwise_as_slot_moving(stack)
+
+
+def test_jacobi_stack_is_bitwise_the_slot_moving_kernel_on_norm_fallbacks(monkeypatch):
+    seen = []
+    kernel = linalg._jacobi_stack
+
+    def spy(ws):
+        seen.append(ws.copy())
+        return kernel(ws)
+
+    monkeypatch.setattr(linalg, "_jacobi_stack", spy)
+    near = [1.0, 1.0 - 1e-9, 0.25]
+    stack = PortableRng(5252).complex_normal((4, 3, 3))
+    stack[1] = np.diag(near)
+    stack[3] = _rotated(near, 53)
+    linalg.spectral_norms(stack)
+    wide = PortableRng(5353).complex_normal((2, 4, 6))
+    wide[0] = 0.0
+    wide[0][:3, :3] = _rotated(near, 54)
+    linalg.spectral_norms(wide)
+    monkeypatch.undo()
+    assert [s.shape for s in seen] == [(2, 3, 3), (1, 4, 4)]
+    for ws in seen:
+        _assert_bitwise_as_slot_moving(ws)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 16, 20])
+def test_round_robin_schedule(n):
+    schedule = linalg._round_robin(n)
+    assert linalg._round_robin(n) is schedule
+    for a in schedule:
+        assert not a.flags.writeable and len(a) == n - 1
+    k = n // 2
+    slots = np.arange(n)
+    met = set()
+    for gather, partner, pair, side in zip(*schedule):
+        p, q = np.divmod(gather[0], n)
+        # the pairs are those of the slots, which round 0 finds in order
+        assert np.array_equal(p, slots[:k]) and np.array_equal(q, slots[: k - 1 : -1])
+        assert np.array_equal(gather[1], p * (n + 1)) and np.array_equal(gather[2], q * (n + 1))
+        # a perfect matching of 0..n-1
+        assert np.array_equal(np.sort(np.concatenate([p, q])), np.arange(n))
+        assert np.array_equal(partner[partner], np.arange(n)) and not (partner == np.arange(n)).any()
+        assert np.array_equal(partner[p], q)
+        assert np.array_equal(side[p], np.arange(k)) and np.array_equal(side[q], np.arange(k, n))
+        assert np.array_equal(pair, side % k)
+        met.update(zip(np.minimum(p, q).tolist(), np.maximum(p, q).tolist()))
+        slots = np.concatenate([slots[:1], slots[-1:], slots[1:-1]])
+    assert len(met) == n * (n - 1) // 2
+    assert np.array_equal(slots, np.arange(n))
