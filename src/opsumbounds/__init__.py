@@ -13,7 +13,6 @@ output.
 from .bounds import (
     BoundReport,
     bilinear_bound,
-    catalog_from_norm_data,
     catalog_reports,
     tightest_report,
     vector_image_bound,
@@ -64,9 +63,7 @@ from .rng import PortableRng, derive_seed
 from .vectors import (
     VectorFamily,
     bessel_weighting,
-    gram_catalog_reports,
     rank_one_family,
-    verify_identities,
 )
 
 __version__ = "0.1.0"
@@ -95,14 +92,12 @@ __all__ = [
     "as_weights",
     "bessel_weighting",
     "bilinear_bound",
-    "catalog_from_norm_data",
     "catalog_reports",
     "cbs_operator_gap",
     "derive_seed",
     "emit_problem",
     "format_float",
     "generate",
-    "gram_catalog_reports",
     "hermitian_eigenvalues",
     "load_problem",
     "loads_problem",
@@ -112,7 +107,6 @@ __all__ = [
     "spectral_norms",
     "tightest_report",
     "vector_image_bound",
-    "verify_identities",
     "verify_instance",
     "verify_spec",
     "write_problem",

@@ -61,8 +61,6 @@ def _lp_aggregate(values: np.ndarray, p: float) -> float:
     """(sum v^(2p))^(1/p); p = inf gives the limit (max v)^2."""
     if p == _INF:
         return float(values.max()) ** 2
-    if p == 1.0:
-        return float((values**2).sum())
     return float((values ** (2.0 * p)).sum()) ** (1.0 / p)
 
 
@@ -85,15 +83,13 @@ def _pair_weight(wa: np.ndarray, r: float) -> float:
     inside = s1 * s1 - s2
     if inside <= 0.0:
         return 0.0
-    return inside ** (1.0 / r) if r != 1.0 else inside
+    return inside ** (1.0 / r)
 
 
 def _cross_aggregate(off: np.ndarray, s: float) -> float:
     """(sum_{i != j} cross^s)^(1/s); s = inf gives max_{i != j}."""
     if s == _INF:
         return float(off.max())
-    if s == 1.0:
-        return float(off.sum())
     return float((off**s).sum()) ** (1.0 / s)
 
 
@@ -133,15 +129,15 @@ def _catalog_table(grid: tuple[float, ...]):
     return pairs, power_means, labels, orthogonal
 
 
-def catalog_from_norm_data(abs_weights, norms, cross, lhs_sq, exponent_grid=None,
-                           scale: float = 1.0) -> list[BoundReport]:
-    """Every catalog bound from |alpha_i|, ||A_i|| and the n x n table of
-    ||A_i A_j^*||, in fixed catalog order.
+def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
+    """Every catalog bound on one instance, in fixed catalog order.
 
-    lhs_sq is a callable returning the exact left side; it is called
-    once, after the grid is validated.  scale multiplies both the bounds
-    and the left side (the Gram route folds in ||x||^2 this way), leaving
-    slack ratios untouched.
+    fam is an OperatorFamily or a vectors.VectorFamily; the catalog reads
+    four things from it: count, norms (||A_i||), cross (the n x n table
+    of ||A_i A_j^*||, diagonal included) and weighted_sum_norm(w), the
+    exact ||sum w_i A_i||.  The grid is checked before anything is
+    solved; the left side is solved before the norm data is read, so an
+    OperatorFamily solves both in one pass.
 
     Each aggregate is computed once per distinct exponent.  The master
     entries are the table D[i] + O[j] of a diagonal term per diagonal
@@ -150,11 +146,13 @@ def catalog_from_norm_data(abs_weights, norms, cross, lhs_sq, exponent_grid=None
     ORTHOGONAL_TOL relative to the largest ||A_i||^2, the diagonal terms
     D themselves.
     """
+    w = as_weights(alpha, fam.count)
     grid = _validated_grid(exponent_grid)
+    lhs = fam.weighted_sum_norm(w) ** 2
     pairs, power_means, labels, orthogonal = _catalog_table(grid)
-    wa = np.asarray(abs_weights, dtype=np.float64)
-    na = np.asarray(norms, dtype=np.float64)
-    cross = np.asarray(cross, dtype=np.float64)
+    wa = np.abs(w)
+    na = fam.norms
+    cross = fam.cross
     off = cross.copy()
     np.fill_diagonal(off, 0.0)
     n = wa.size
@@ -185,19 +183,8 @@ def catalog_from_norm_data(abs_weights, norms, cross, lhs_sq, exponent_grid=None
         # the diagonal term
         values.append(diag)
         labels = labels + orthogonal
-    lhs = float(scale) * float(lhs_sq())
     return [BoundReport(name, exps, lhs, bound, slack_ratio(lhs, bound))
-            for (name, exps), bound in zip(labels, (np.concatenate(values) * float(scale)).tolist())]
-
-
-def catalog_reports(alpha, fam: OperatorFamily, exponent_grid=None) -> list[BoundReport]:
-    """Every catalog bound on one instance, in fixed catalog order.  The grid
-    is checked before anything is solved; the left side then shares the
-    family's norm pass (OperatorFamily.weighted_sum_norm)."""
-    w = as_weights(alpha, fam.count)
-    grid = _validated_grid(exponent_grid)
-    lhs_sq = fam.weighted_sum_norm(w) ** 2
-    return catalog_from_norm_data(np.abs(w), fam.norms, fam.cross, lambda: lhs_sq, grid)
+            for (name, exps), bound in zip(labels, np.concatenate(values).tolist())]
 
 
 def tightest_report(reports) -> BoundReport:

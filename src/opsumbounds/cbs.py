@@ -123,24 +123,24 @@ class PsdGapResult:
     """Outcome of the operator-order check.
 
     gap is the symmetrized difference between the dominating side and
-    S S^*; holds records whether its smallest eigenvalue clears the
-    relative tolerance linalg.PSD_TOL.  The inner_* fields report the
-    same test on S S^* itself, which must also be PSD.
+    S S^*; holds records whether its smallest eigenvalue is at least
+    -limit, with limit = linalg.PSD_TOL * max(1, ||gap||).  The inner_*
+    fields report the same test on S S^* itself, which must also be PSD.
     """
 
     gap: np.ndarray
     min_eigenvalue: float
     holds: bool
-    gap_norm: float
+    limit: float
     inner_min_eigenvalue: float
     inner_holds: bool
-    inner_norm: float
+    inner_limit: float
 
 
 def _psd_verdict(eigs: np.ndarray) -> tuple[float, float, bool]:
     lo = float(eigs[0])
-    norm = max(abs(lo), abs(float(eigs[-1])))
-    return lo, norm, lo >= -linalg.PSD_TOL * max(1.0, norm)
+    limit = linalg.PSD_TOL * max(1.0, abs(lo), abs(float(eigs[-1])))
+    return lo, limit, lo >= -limit
 
 
 def cbs_operator_gap(z, fam: OperatorFamily) -> PsdGapResult:
@@ -156,15 +156,15 @@ def cbs_operator_gap(z, fam: OperatorFamily) -> PsdGapResult:
     raw = float((np.abs(w) ** 2).sum()) * fam.sum_products - inner
     gap = 0.5 * (raw + raw.conj().T)
     eigs = linalg.hermitian_eigenvalues(np.stack([gap, 0.5 * (inner + inner.conj().T)]))
-    min_eig, gap_norm, holds = _psd_verdict(eigs[0])
-    inner_min, inner_norm, inner_holds = _psd_verdict(eigs[1])
+    min_eig, limit, holds = _psd_verdict(eigs[0])
+    inner_min, inner_limit, inner_holds = _psd_verdict(eigs[1])
     return PsdGapResult(
         gap=gap,
         min_eigenvalue=min_eig,
         holds=holds,
-        gap_norm=gap_norm,
+        limit=limit,
         inner_min_eigenvalue=inner_min,
         inner_holds=inner_holds,
-        inner_norm=inner_norm,
+        inner_limit=inner_limit,
     )
 

@@ -104,20 +104,20 @@ def _cmd_bound(args) -> int:
     if pf.mode == "operators":
         weights = pf.weights
         label = "explicit"
-        reports = bounds.catalog_reports(weights, OperatorFamily(pf.operators), grid)
+        family = OperatorFamily(pf.operators)
         lhs_key = "lhs_sq"
     else:
-        vf = vectors.VectorFamily(pf.vectors)
+        family = vectors.VectorFamily(pf.vectors)
         if pf.weights is None:
-            weights = vectors.bessel_weighting(vf)
+            weights = vectors.bessel_weighting(family)
             label = "bessel"
         else:
             weights = pf.weights
             label = "explicit"
         # Per unit probe norm: the reported left side and bounds are the
         # coefficients of ||x||^2.
-        reports = vectors.gram_catalog_reports(weights, vf, 1.0, grid)
         lhs_key = "lhs_sq_per_unit_probe"
+    reports = bounds.catalog_reports(weights, family, grid)
 
     best = bounds.tightest_report(reports)
 

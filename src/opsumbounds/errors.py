@@ -12,15 +12,7 @@ class NotHermitian(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """An iterative routine ran out of iterations.
-
-    The best estimate found so far is carried in ``best`` so callers can
-    decide whether it is still usable.
-    """
-
-    def __init__(self, message: str, best: float | None = None):
-        super().__init__(message)
-        self.best = best
+    """An iterative routine ran out of iterations."""
 
 
 class InvalidExponent(ValueError):

@@ -18,7 +18,6 @@ import numpy as np
 from . import bounds
 from .cbs import OperatorFamily, as_weights, cbs_operator_gap
 from .errors import InvalidSpec
-from .linalg import PSD_TOL
 from .problemio import format_float
 from .rng import PortableRng, derive_seed
 from .vectors import VectorFamily, rank_one_family
@@ -180,8 +179,8 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = 1e-9, *,
 
     Records, per check: name, the exact quantity being dominated, the
     dominating quantity, whether it holds at the given relative
-    tolerance, and the slack ratio.  The PSD checks use the relative
-    eigenvalue tolerance PSD_TOL rather than tol.
+    tolerance, and the slack ratio.  The PSD checks use the gap's own
+    limit (PsdGapResult.limit and inner_limit) rather than tol.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -189,12 +188,10 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = 1e-9, *,
     checks: list[CheckRecord] = []
 
     gap = cbs_operator_gap(w, fam)
-    gap_limit = PSD_TOL * max(1.0, gap.gap_norm)
-    checks.append(CheckRecord("psd_gap", -gap.min_eigenvalue, gap_limit,
-                              gap.holds, bounds.slack_ratio(max(-gap.min_eigenvalue, 0.0), gap_limit)))
-    inner_limit = PSD_TOL * max(1.0, gap.inner_norm)
-    checks.append(CheckRecord("psd_gap_inner", -gap.inner_min_eigenvalue, inner_limit,
-                              gap.inner_holds, bounds.slack_ratio(max(-gap.inner_min_eigenvalue, 0.0), inner_limit)))
+    checks.append(CheckRecord("psd_gap", -gap.min_eigenvalue, gap.limit,
+                              gap.holds, bounds.slack_ratio(max(-gap.min_eigenvalue, 0.0), gap.limit)))
+    checks.append(CheckRecord("psd_gap_inner", -gap.inner_min_eigenvalue, gap.inner_limit, gap.inner_holds,
+                              bounds.slack_ratio(max(-gap.inner_min_eigenvalue, 0.0), gap.inner_limit)))
 
     # the catalog's left side is the quantity the CBS norm check
     # dominates, so the assembled-sum norm is computed once

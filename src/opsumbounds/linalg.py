@@ -170,8 +170,8 @@ def spectral_norm(m) -> SpectralNormResult:
     The residual reported is the relative eigen-residual of the final
     iterate on the Hermitian product matrix, and iterations counts the
     steps taken on its repeated square (see _power_stack).  Raises
-    NoConvergence, carrying the best estimate, when the residual is
-    still above DEFAULT_TOL after DEFAULT_MAX_ITER steps.
+    NoConvergence when the residual is still above DEFAULT_TOL after
+    DEFAULT_MAX_ITER steps.
     """
     scaled, exps = _pow2_scale(_finite_stack(np.asarray(m)[None]))
     lam, iters, resid, done = _power_stack(_hermitian_products(scaled))
@@ -179,9 +179,7 @@ def spectral_norm(m) -> SpectralNormResult:
     if not done[0]:
         raise NoConvergence(
             f"spectral norm residual {float(resid[0]):.3e} above tol {DEFAULT_TOL:.3e} "
-            f"after {int(iters[0])} iterations",
-            best=value,
-        )
+            f"after {int(iters[0])} iterations")
     return SpectralNormResult(value=value, iterations=int(iters[0]), residual=float(resid[0]))
 
 

@@ -2,9 +2,10 @@
 
 For nonzero vectors y_1..y_n, the operators A_i = y_i y_i^H / ||y_i||
 satisfy ||A_i|| = ||y_i|| and ||A_i A_j^H|| = |(y_i, y_j)|, so the whole
-bound catalog collapses to arithmetic over the Gram matrix.  The
-production path here never materializes the operators or their sum;
-the matrix path exists to cross-validate it.
+bound catalog collapses to arithmetic over the Gram matrix: a
+VectorFamily goes to bounds.catalog_reports as it is, and never
+materializes the operators or their sum; the matrix path exists to
+cross-validate it.
 
 The left side uses the usual rank reduction: with Z the d x n matrix of
 columns y_i and D = diag(alpha_i / ||y_i||), the weighted sum is
@@ -24,13 +25,13 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .bounds import BoundReport, catalog_from_norm_data
 from .cbs import OperatorFamily, as_weights
 from .errors import DimensionMismatch, ZeroVector
 
 
 class VectorFamily:
-    """Nonzero vectors y_1..y_n in C^d with their Gram matrix."""
+    """Nonzero vectors y_1..y_n in C^d, with the norm data of their rank-one
+    operators read off the Gram matrix."""
 
     def __init__(self, vectors):
         try:
@@ -54,56 +55,31 @@ class VectorFamily:
         self.norms = norms
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        return self.vectors @ self.vectors.conj().T
+    def cross(self) -> np.ndarray:
+        """|(y_i, y_j)| = ||A_i A_j^H||, the full n x n table."""
+        return np.abs(self.vectors @ self.vectors.conj().T)
 
     @cached_property
     def _unit_r_factor(self) -> np.ndarray:
         return np.linalg.qr(self.vectors.T, mode="r") / self.norms
 
-    def weighted_sum_norm_sq(self, alpha) -> float:
-        """||sum alpha_i A_i||^2 as ||R D R^H||^2, with R the R factor of
+    def weighted_sum_norm(self, alpha) -> float:
+        """||sum alpha_i A_i|| as ||R D R^H||, with R the R factor of
         the vectors (at most min(d, n) rows) and D = diag(alpha_i / ||y_i||).
 
-        It is computed as ||U diag(alpha_i ||y_i||) U^H||^2 with U = R
+        It is computed as ||U diag(alpha_i ||y_i||) U^H|| with U = R
         diag(1/||y_i||), the cached R factor of the unit vectors, whose
         entries are at most 1: no intermediate leaves the scale of S.
         """
         w = as_weights(alpha, self.count)
         u = self._unit_r_factor
-        return float(linalg.spectral_norms(((u * (w * self.norms)) @ u.conj().T)[None])[0]) ** 2
+        return float(linalg.spectral_norms(((u * (w * self.norms)) @ u.conj().T)[None])[0])
 
 
 def rank_one_family(vf: VectorFamily) -> OperatorFamily:
     """Materialize A_i = y_i y_i^H / ||y_i|| as explicit matrices."""
     ops = np.einsum("ia,ib->iab", vf.vectors, vf.vectors.conj()) / vf.norms[:, None, None]
     return OperatorFamily(ops)
-
-
-def verify_identities(vf: VectorFamily) -> bool:
-    """Check ||A_i|| = ||y_i|| and ||A_i A_j^H|| = |(y_i, y_j)| numerically,
-    to a relative deviation of 1e-9.
-
-    Cross deviations are measured relative to ||y_i|| ||y_j||, which
-    dominates both sides, so exactly orthogonal pairs are checked at the
-    right scale instead of against a zero denominator.
-    """
-    fam = rank_one_family(vf)
-    norm_dev = float((np.abs(fam.norms - vf.norms) / vf.norms).max())
-    pair_scale = np.outer(vf.norms, vf.norms)
-    cross_dev = float((np.abs(fam.cross - np.abs(vf.gram)) / pair_scale).max())
-    return norm_dev <= 1e-9 and cross_dev <= 1e-9
-
-
-def gram_catalog_reports(alpha, vf: VectorFamily, x_norm_sq: float, exponent_grid=None) -> list[BoundReport]:
-    """The full catalog on ||sum alpha_i (x, y_i) y_i / ||y_i||||^2, in
-    catalog order, computed from the Gram matrix only and scaled by
-    x_norm_sq = ||x||^2."""
-    w = as_weights(alpha, vf.count)
-    if not (x_norm_sq >= 0.0 and np.isfinite(x_norm_sq)):
-        raise ValueError(f"x_norm_sq must be finite and nonnegative, got {x_norm_sq}")
-    return catalog_from_norm_data(np.abs(w), vf.norms, np.abs(vf.gram), lambda: vf.weighted_sum_norm_sq(w),
-                                  exponent_grid, scale=float(x_norm_sq))
 
 
 def bessel_weighting(vf: VectorFamily) -> np.ndarray:

@@ -20,12 +20,9 @@ from opsumbounds.cli import main
 from opsumbounds.harness import InstanceSpec, generate
 from opsumbounds.problemio import ProblemFile, emit_problem, loads_problem, write_problem
 from opsumbounds.rng import PortableRng, derive_seed
-from opsumbounds.vectors import (
-    VectorFamily,
-    gram_catalog_reports,
-    rank_one_family,
-    verify_identities,
-)
+from opsumbounds.vectors import VectorFamily, rank_one_family
+
+from identities import verify_identities
 
 _DIMS = (2, 3, 4, 5, 6, 7, 8)
 _COUNTS = (1, 2, 3, 4, 5, 6)
@@ -92,7 +89,7 @@ def test_criterion_1_psd_gap():
         spec = _mixed_spec("GaussianDense", k, 0)
         w, fam, _ = generate(spec)
         gap = cbs_operator_gap(w, fam)
-        margin = gap.min_eigenvalue + 1e-8 * max(1.0, gap.gap_norm)
+        margin = gap.min_eigenvalue + gap.limit
         worst = min(worst, margin)
         failures += margin < 0.0
     elapsed = time.perf_counter() - start
@@ -163,13 +160,14 @@ def test_criterion_6_gram_path_consistency():
         vf = VectorFamily(rng.complex_normal((n, d)))
         w = rng.complex_normal(n)
         xns = 0.5 + 1.5 * rng.uniform(1)[0]
-        gram_reps = gram_catalog_reports(w, vf, xns)
+        gram_reps = catalog_reports(w, vf)
         mat_reps = catalog_reports(w, rank_one_family(vf))
         assert [g.name for g in gram_reps] == [m.name for m in mat_reps]
         for g, m in zip(gram_reps, mat_reps):
+            gram_scaled = g.bound * xns
             scaled = xns * m.bound
-            denom = max(abs(g.bound), abs(scaled), 1e-300)
-            worst = max(worst, abs(g.bound - scaled) / denom)
+            denom = max(abs(gram_scaled), abs(scaled), 1e-300)
+            worst = max(worst, abs(gram_scaled - scaled) / denom)
     ok = worst <= 1e-9
     _report(6, ok, f"500 instances, every config, worst relative gap {worst:.3e}")
     assert ok

@@ -4,7 +4,6 @@ import pytest
 from opsumbounds import bounds
 from opsumbounds.bounds import (
     bilinear_bound,
-    catalog_from_norm_data,
     catalog_reports,
     tightest_report,
     vector_image_bound,
@@ -12,6 +11,7 @@ from opsumbounds.bounds import (
 from opsumbounds.cbs import OperatorFamily
 from opsumbounds.errors import DimensionMismatch, InvalidExponent
 from opsumbounds.rng import PortableRng
+from opsumbounds.vectors import VectorFamily
 
 
 def _random_instance(seed, d, n):
@@ -229,12 +229,13 @@ def test_invalid_exponents_raise():
         catalog_reports(w, fam, exponent_grid=(np.inf,))
 
 
-def test_bad_grid_is_rejected_before_the_left_side():
-    def lhs_sq():
+def test_bad_grid_is_rejected_before_the_left_side(monkeypatch):
+    def never(self, alpha):
         raise AssertionError("left side solved for a bad grid")
 
+    monkeypatch.setattr(VectorFamily, "weighted_sum_norm", never)
     with pytest.raises(InvalidExponent):
-        catalog_from_norm_data([1.0], [1.0], [[1.0]], lhs_sq, exponent_grid=(0.5,))
+        catalog_reports([1.0], VectorFamily([[1.0, 0.0]]), exponent_grid=(0.5,))
 
 
 def test_bad_grid_is_rejected_before_any_norm_is_solved(monkeypatch):

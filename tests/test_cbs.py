@@ -64,7 +64,8 @@ def test_gap_single_operator_is_exactly_degenerate():
     fam = OperatorFamily(rng.complex_normal((1, 4, 4)))
     res = cbs_operator_gap([1.7 - 0.3j], fam)
     assert res.holds
-    assert abs(res.min_eigenvalue) <= 1e-10 * max(1.0, res.gap_norm)
+    # limit is PSD_TOL * max(1, ||gap||)
+    assert abs(res.min_eigenvalue) <= 1e-10 * res.limit / linalg.PSD_TOL
     assert res.inner_holds
 
 
@@ -84,7 +85,7 @@ def test_gap_global_phase_invariance():
     w, fam = _random_instance(404, d=4, n=3)
     base = cbs_operator_gap(w, fam)
     spun = cbs_operator_gap(w * np.exp(0.7j), fam)
-    scale = max(1.0, base.gap_norm)
+    scale = base.limit / linalg.PSD_TOL  # max(1, ||gap||)
     assert np.abs(base.gap - spun.gap).max() <= 1e-12 * scale
     assert abs(base.min_eigenvalue - spun.min_eigenvalue) <= 1e-10 * scale
 

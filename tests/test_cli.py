@@ -169,7 +169,7 @@ def test_nonconvergence_exits_3(ops_file, capsys, monkeypatch):
     from opsumbounds.errors import NoConvergence
 
     def _give_up(*args, **kwargs):
-        raise NoConvergence("simulated stall", best=None)
+        raise NoConvergence("simulated stall")
 
     monkeypatch.setattr(linalg, "spectral_norms", _give_up)
     assert main(["bound", "--input", ops_file]) == 3

@@ -66,11 +66,9 @@ FIXED_KNOBS = [
     (linalg.spectral_norms, {"tol", "max_iter"}),
     (linalg.hermitian_eigenvalues, {"tol"}),
     (cbs.cbs_operator_gap, {"tol"}),
-    (bounds.catalog_from_norm_data, {"orthogonal_tol"}),
-    (bounds.catalog_reports, {"orthogonal_tol"}),
-    (vectors.gram_catalog_reports, {"orthogonal_tol"}),
+    (bounds.catalog_reports, {"orthogonal_tol", "scale", "x_norm_sq"}),
+    (vectors.VectorFamily.weighted_sum_norm, {"scale", "x_norm_sq"}),
     (harness.verify_instance, {"probe_seed", "spec"}),
-    (vectors.verify_identities, {"tol"}),
 ]
 
 
@@ -91,3 +89,30 @@ def test_families_are_taken_as_given():
     assert not {"as_family", "as_vector_family"} & set(opsumbounds.__all__)
     # as_weights stays: weights do arrive raw
     assert "as_weights" in opsumbounds.__all__
+
+
+def _imported_siblings(path: Path) -> set:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            sibling = _sibling(node.module, node.level)
+            if sibling:
+                found.add(sibling)
+            elif (node.level == 1 and node.module is None) or (node.level == 0 and node.module == "opsumbounds"):
+                found |= {alias.name for alias in node.names} & MODULES
+        elif isinstance(node, ast.Import):
+            found |= {s for s in (_sibling(alias.name, 0) for alias in node.names) if s}
+    return found
+
+
+def test_one_catalog_entry_point():
+    # operator and vector families both go to bounds.catalog_reports
+    gone = {"catalog_from_norm_data", "gram_catalog_reports", "verify_identities"}
+    assert not gone & set(opsumbounds.__all__)
+    assert not any(hasattr(module, name) for module in (opsumbounds, bounds, vectors) for name in gone)
+    assert not hasattr(vectors.VectorFamily, "gram")
+    assert not hasattr(vectors.VectorFamily, "weighted_sum_norm_sq")
+    assert list(inspect.signature(bounds.catalog_reports).parameters) == ["alpha", "fam", "exponent_grid"]
+    assert "bounds" not in _imported_siblings(PACKAGE / "vectors.py")
+    assert {"linalg", "cbs"} <= _imported_siblings(PACKAGE / "vectors.py")

