@@ -69,16 +69,25 @@ class OperatorFamily:
 
     def _norm_pass(self, extra: np.ndarray):
         """(norm data, norms of extra's slices) from one spectral_norms call; each
-        slice is solved on its own, so extra changes no bit of the norm data."""
+        slice is solved on its own, so extra changes no bit of the norm data.
+
+        The stack [A_i A_j^* for i <= j, A_1..A_n, sum A_i A_i^*, extra]
+        is allocated once and filled in place, so no slice is held twice.
+        """
         n = self.count
         iu, ju = _upper_pairs(n)
-        pairs = np.einsum("kab,kcb->kac", self.ops[iu], self.ops.conj()[ju])
-        values = linalg.spectral_norms(np.concatenate([pairs, self.ops, self.sum_products[None], extra]))
+        p = iu.size
+        m = p + n
+        stack = np.empty((m + 1 + len(extra), self.dim, self.dim), dtype=np.complex128)
+        np.einsum("kab,kcb->kac", self.ops[iu], self.ops.conj()[ju], out=stack[:p])
+        stack[p:m] = self.ops
+        stack[m] = self.sum_products
+        stack[m + 1 :] = extra
+        values = linalg.spectral_norms(stack)
         cross = np.zeros((n, n))
-        cross[iu, ju] = values[: iu.size]
-        cross[ju, iu] = values[: iu.size]
-        m = iu.size + n
-        return (values[iu.size : m], cross, float(values[m])), values[m + 1 :]
+        cross[iu, ju] = values[:p]
+        cross[ju, iu] = values[:p]
+        return (values[p:m], cross, float(values[m])), values[m + 1 :]
 
     @cached_property
     def _norm_data(self):

@@ -192,6 +192,7 @@ def spectral_norms(ms) -> np.ndarray:
     """
     scaled, exps = _pow2_scale(_finite_stack(ms))
     bs = _hermitian_products(scaled)
+    del scaled  # not read again; freeing it lowers the peak of a large stack
     lam, _, _, done = _power_stack(bs)
     if not done.all():
         lam[~done] = _jacobi_stack(bs[~done])[:, -1]

@@ -5,21 +5,24 @@ two-element [re, im] array.  Loading converts each of weights, operators
 and vectors with one np.array call to float64 of shape (..., 2), viewed
 as complex, and checks the whole array at once: its shape, the types of
 its leaves (JSON numbers only, no bools, strings or nulls) and its
-finiteness.  Only input that fails is walked entry by entry, to name the
-first bad entry.  Emission is hand-rolled rather than fed through a
-generic serializer so the byte stream is fixed: fixed key order, fixed
-indentation, LF endings, and every float printed with 17 significant
-digits (which round-trips float64 exactly), through one %-format
-template per row of d entries.
+finiteness.  Only input of the wrong shape or types is walked entry by
+entry, to name the first bad entry.  Emission is hand-rolled rather than
+fed through a generic serializer so the byte stream is fixed: fixed key
+order, fixed indentation, LF endings, and every float printed with 17
+significant digits (which round-trips float64 exactly), through one
+%-format template per row of d entries.  The rows are streamed:
+write_problem writes each row as it is formatted, and emit_problem joins
+the same pieces.  Both first check the problem as the loader would check
+its text, with the loader's own array checks and exception classes, so
+no problem is written that load_problem rejects.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -65,22 +68,39 @@ def _parse_array(node, shape: tuple, where: str) -> np.ndarray:
 
     One np.array conversion reads the whole node.  np.array also takes
     bools and numeric strings as numbers and maps null to nan, so the
-    types of the flattened leaves are checked in one pass as well.  Only
-    when the conversion, the shape, the finiteness or the types fail is
-    the node walked entry by entry, to name the first bad entry.
+    types of the flattened leaves are checked in one pass as well, before
+    the finiteness.  Only when the conversion, the shape or the types
+    fail is the node walked entry by entry, to name the first bad entry.
     """
     try:
         arr = np.array(node, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is not None and arr.shape == shape + (2,) and np.isfinite(arr).all():
+    if arr is not None and arr.shape == shape + (2,):
         leaves = node
         for _ in shape:
             leaves = itertools.chain.from_iterable(leaves)
         if set(map(type, leaves)) <= _NUMBER_TYPES:
-            return arr.view(np.complex128).reshape(shape)
+            values = arr.view(np.complex128).reshape(shape)
+            _require_finite(values, where)
+            return values
     _raise_first_defect(node, shape, where)
     raise SchemaError(f"{where} is not an array of [re, im] number pairs")
+
+
+def _require_finite(arr: np.ndarray, where: str) -> None:
+    """Raise ValueError naming the first entry of arr, in document
+    order, that is not finite."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        first = np.unravel_index(np.argmin(finite), arr.shape)
+        raise ValueError(where + "".join(f"[{i}]" for i in first) + " is not finite")
+
+
+def _require_no_zero_vector(vectors: np.ndarray) -> None:
+    zero = np.flatnonzero(~(vectors != 0).any(axis=1))
+    if zero.size:
+        raise ZeroVector(f"vectors[{zero[0]}] is the zero vector")
 
 
 def _raise_first_defect(node, shape: tuple, where: str) -> None:
@@ -148,9 +168,7 @@ def loads_problem(text: str) -> ProblemFile:
     operators = _parse_stack(doc, "operators", (dim, dim), "matrices") if has_ops else None
     vectors = _parse_stack(doc, "vectors", (dim,), "d-vectors") if has_vecs else None
     if has_vecs:
-        zero = np.flatnonzero(~(vectors != 0).any(axis=1))
-        if zero.size:
-            raise ZeroVector(f"vectors[{zero[0]}] is the zero vector")
+        _require_no_zero_vector(vectors)
     n = len(operators) if has_ops else len(vectors)
 
     weights = None
@@ -168,38 +186,73 @@ def load_problem(path) -> ProblemFile:
         return loads_problem(fh.read())
 
 
-def _emit_rows(arr: np.ndarray) -> list[str]:
-    """One JSON row of [re, im] pairs per run of arr's last axis, from
-    one %-format template applied to the rows as Python floats."""
-    c = np.ascontiguousarray(arr, dtype=np.complex128)
-    d = c.shape[-1]
+def _check_problem(pf: ProblemFile) -> tuple[Optional[np.ndarray], str, np.ndarray]:
+    """pf's weights (or None), the key of its stack and the stack, as
+    complex arrays, after the checks loads_problem makes of the text pf
+    emits; raises what loads_problem would raise, before any text exists."""
+    if pf.schema_version != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema_version {pf.schema_version!r}")
+    if isinstance(pf.dim, bool) or not isinstance(pf.dim, (int, np.integer)) or pf.dim < 1:
+        raise SchemaError(f"dim must be a positive integer, got {pf.dim!r}")
+    if (pf.operators is None) == (pf.vectors is None):
+        raise SchemaError("exactly one of operators/vectors must be present")
+    key, inner = ("operators", (pf.dim, pf.dim)) if pf.operators is not None else ("vectors", (pf.dim,))
+    stack = np.asarray(getattr(pf, key), dtype=np.complex128)
+    if stack.shape[1:] != inner or stack.shape[0] == 0:
+        raise SchemaError(f"{key} must be a nonempty stack of shape (n, {', '.join(map(str, inner))}), "
+                          f"got {stack.shape}")
+    _require_finite(stack, key)
+    if key == "vectors":
+        _require_no_zero_vector(stack)
+    weights = None
+    if pf.weights is not None:
+        weights = np.asarray(pf.weights, dtype=np.complex128)
+        if weights.shape != stack.shape[:1]:
+            raise SchemaError(f"weights must have {stack.shape[0]} entries, got shape {weights.shape}")
+        _require_finite(weights, "weights")
+    elif key == "operators":
+        raise SchemaError("weights are required in operators mode")
+    return weights, key, stack
+
+
+def _rows(arr: np.ndarray) -> Iterator[str]:
+    """One JSON row of [re, im] pairs per run of arr's last axis, each from
+    one %-format template applied to that row as Python floats."""
+    d = arr.shape[-1]
     template = "[" + ",".join([f"[{_FLOAT_FORMAT},{_FLOAT_FORMAT}]"] * d) + "]"
-    rows = c.view(np.float64).reshape(math.prod(c.shape[:-1]), 2 * d).tolist()
-    return [template % tuple(row) for row in rows]
+    for row in np.ascontiguousarray(arr).view(np.float64).reshape(-1, 2 * d):
+        yield template % tuple(row.tolist())
+
+
+def _chunks(weights: Optional[np.ndarray], key: str, stack: np.ndarray) -> Iterator[str]:
+    """The problem's text in pieces: the header with the weights, then one
+    row per piece, then the closing brackets.  An operator is one line of
+    d rows, [row,...,row]; a vector is one line of one row."""
+    d = stack.shape[-1]
+    head = f'{{\n  "schema_version": "{SCHEMA_VERSION}",\n  "dim": {d},\n'
+    if weights is not None:
+        head += '  "weights": ' + next(_rows(weights)) + ",\n"
+    yield head + f'  "{key}": [\n'
+    per_line, lo, hi = (d, "[", "]") if key == "operators" else (1, "", "")
+    for k, row in enumerate(_rows(stack)):
+        if k == 0:
+            sep = "    " + lo
+        elif k % per_line:
+            sep = ","
+        else:
+            sep = hi + ",\n    " + lo
+        yield sep + row
+    yield hi + "\n  ]\n}\n"
 
 
 def emit_problem(pf: ProblemFile) -> str:
     """Echo a problem as deterministic JSON text."""
-    lines = ["{"]
-    lines.append(f'  "schema_version": "{pf.schema_version}",')
-    tail_comma = "," if (pf.weights is not None or pf.operators is not None or pf.vectors is not None) else ""
-    lines.append(f'  "dim": {pf.dim}{tail_comma}')
-    parts = []
-    if pf.weights is not None:
-        parts.append('  "weights": ' + _emit_rows(pf.weights)[0])
-    if pf.operators is not None:
-        rows = _emit_rows(pf.operators)
-        d = pf.operators.shape[1]
-        body = ",\n".join("    [" + ",".join(rows[k:k + d]) + "]" for k in range(0, len(rows), d))
-        parts.append('  "operators": [\n' + body + "\n  ]")
-    if pf.vectors is not None:
-        body = ",\n".join("    " + row for row in _emit_rows(pf.vectors))
-        parts.append('  "vectors": [\n' + body + "\n  ]")
-    lines.append(",\n".join(parts))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_chunks(*_check_problem(pf)))
 
 
 def write_problem(pf: ProblemFile, path) -> None:
+    """Write emit_problem's text, streamed row by row.  The problem is
+    checked before the file is opened, so bad data leaves no file."""
+    parts = _check_problem(pf)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(emit_problem(pf))
+        fh.writelines(_chunks(*parts))

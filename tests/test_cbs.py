@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from opsumbounds import bounds, linalg
 from opsumbounds.cbs import OperatorFamily, _upper_pairs, as_weights, cbs_operator_gap
 from opsumbounds.errors import DimensionMismatch
-from opsumbounds.harness import verify_instance
+from opsumbounds.harness import InstanceSpec, generate, verify_instance
 from opsumbounds.rng import PortableRng
 
 
@@ -205,3 +207,62 @@ def test_norm_check_takes_its_left_side_from_the_norm_pass(monkeypatch):
     assert calls == [3 * 4 // 2 + 3 + 2]
     assert rec.holds and rec.lhs == reports[0].lhs_sq
     assert rec.bound == _norm_check(w, fam)[1]
+
+
+def _concatenated_stack(fam, extra):
+    # the norm-pass stack as it was built before it was filled in place
+    iu, ju = _upper_pairs(fam.count)
+    pairs = np.einsum("kab,kcb->kac", fam.ops[iu], fam.ops.conj()[ju])
+    return np.concatenate([pairs, fam.ops, fam.sum_products[None], extra])
+
+
+@pytest.mark.parametrize("kind, d, n", [
+    ("GaussianDense", 5, 1),
+    ("GaussianDense", 1, 4),
+    ("GaussianDense", 6, 4),
+    ("UnitaryScaled", 4, 3),
+    ("RankOneFromVectors", 5, 3),
+    ("BlockOrthogonal", 6, 3),
+    ("OrthonormalRankOne", 5, 4),
+])
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("with_sum", [False, True], ids=["norm_data", "with_sum"])
+def test_norm_pass_stack_is_bytewise_the_concatenation(monkeypatch, kind, d, n, scale, with_sum):
+    w, gen, _ = generate(InstanceSpec(kind, d, n, 3))
+    fam = OperatorFamily(gen.ops * scale)
+    seen = []
+    solve = linalg.spectral_norms
+
+    def recorded(ms):
+        seen.append(ms.copy())
+        return solve(ms)
+
+    monkeypatch.setattr(linalg, "spectral_norms", recorded)
+    if with_sum:
+        fam.weighted_sum_norm(w)
+        extra = fam.weighted_sum(w)[None]
+    else:
+        fam.norms
+        extra = fam.ops[:0]
+    expected = _concatenated_stack(fam, extra)
+    assert len(seen) == 1
+    assert seen[0].shape == expected.shape and seen[0].tobytes() == expected.tobytes()
+    if kind == "BlockOrthogonal":
+        # the off-diagonal pair products of orthogonal blocks are exactly zero
+        assert not seen[0][1:n].any()
+
+
+def test_norm_pass_holds_at_most_four_and_a_half_stacks():
+    # numpy reports its buffers to tracemalloc, so the traced peak counts
+    # every array the pass holds at once
+    n, d = 8, 64
+    w, gen, _ = generate(InstanceSpec("GaussianDense", d, n, 1))
+    fam = OperatorFamily(gen.ops)
+    stack_bytes = (n * (n + 1) // 2 + n + 2) * d * d * 16
+    tracemalloc.start()
+    try:
+        fam.weighted_sum_norm(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * stack_bytes

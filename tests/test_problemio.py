@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,3 +212,112 @@ def test_format_float_pins_seventeen_digits():
     assert format_float(0.1) == "0.10000000000000001"
     x = 1.0 / 3.0
     assert float(format_float(x)) == x
+
+
+def _whole_text_rows(arr):
+    c = np.ascontiguousarray(arr, dtype=np.complex128)
+    d = c.shape[-1]
+    template = "[" + ",".join(["[%.17g,%.17g]"] * d) + "]"
+    rows = c.view(np.float64).reshape(int(np.prod(c.shape[:-1])), 2 * d).tolist()
+    return [template % tuple(row) for row in rows]
+
+
+def _whole_text_emit(pf):
+    # the emitter that built the whole text in memory, kept as the
+    # reference the streamed writer must match byte for byte
+    lines = ["{", f'  "schema_version": "{pf.schema_version}",', f'  "dim": {pf.dim},']
+    parts = []
+    if pf.weights is not None:
+        parts.append('  "weights": ' + _whole_text_rows(pf.weights)[0])
+    if pf.operators is not None:
+        rows = _whole_text_rows(pf.operators)
+        d = pf.operators.shape[1]
+        body = ",\n".join("    [" + ",".join(rows[k:k + d]) + "]" for k in range(0, len(rows), d))
+        parts.append('  "operators": [\n' + body + "\n  ]")
+    if pf.vectors is not None:
+        body = ",\n".join("    " + row for row in _whole_text_rows(pf.vectors))
+        parts.append('  "vectors": [\n' + body + "\n  ]")
+    lines.append(",\n".join(parts))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL = np.array([-0.0, 5e-324, 1.7976931348623157e308, 3.0, -7.0, 2.0**53, 0.0, -1.0])
+
+
+def _special_entries(shape, rng):
+    # the special values and integers, then random entries, in both parts
+    flat = rng.complex_normal(int(np.prod(shape)))
+    k = min(flat.size, _SPECIAL.size)
+    flat.real[:k] = _SPECIAL[:k]
+    flat.imag[:k] = _SPECIAL[::-1][:k]
+    return flat.reshape(shape)
+
+
+def _byte_cases():
+    rng = PortableRng(41)
+    cases = {}
+    for d, n in [(1, 1), (1, 3), (3, 2), (8, 5)]:
+        ops = _special_entries((n, d, d), rng)
+        cases[f"operators-d{d}-n{n}"] = ProblemFile("1", d, _special_entries((n,), rng), ops, None)
+        vecs = _special_entries((n, d), rng)
+        cases[f"vectors-d{d}-n{n}"] = ProblemFile("1", d, None, None, vecs)
+        cases[f"vectors-weighted-d{d}-n{n}"] = ProblemFile("1", d, _special_entries((n,), rng), None, vecs)
+    cases["integers"] = ProblemFile("1", 2, np.array([1, -2]), np.arange(8).reshape(2, 2, 2) - 3, None)
+    return cases
+
+
+@pytest.mark.parametrize("name, pf", list(_byte_cases().items()), ids=list(_byte_cases()))
+def test_written_bytes_match_the_whole_text_emitter(tmp_path, name, pf):
+    path = tmp_path / "problem.json"
+    write_problem(pf, path)
+    expected = _whole_text_emit(pf)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert emit_problem(pf) == expected
+
+
+def test_write_problem_streams_rows(tmp_path):
+    # the whole text of this file is 2.6 MB; the writer holds one row of it
+    pf = ProblemFile("1", 1024, None, None, PortableRng(5).complex_normal((60, 1024)))
+    tracemalloc.start()
+    try:
+        write_problem(pf, tmp_path / "vectors.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
+
+
+def _unloadable_problems():
+    ops = PortableRng(6).complex_normal((2, 3, 3))
+    vecs = PortableRng(7).complex_normal((2, 3))
+    nan_ops = ops.copy()
+    nan_ops[1, 2, 0] = complex(1.0, np.nan)
+    inf_weights = np.array([1.0 + 0j, complex(np.inf, 0.0)])
+    zero_vecs = vecs.copy()
+    zero_vecs[1] = 0.0
+    return {
+        "nan": (ProblemFile("1", 3, np.ones(2), nan_ops, None), ValueError, r"operators\[1\]\[2\]\[0\] is not finite"),
+        "inf": (ProblemFile("1", 3, inf_weights, None, vecs), ValueError, r"weights\[1\] is not finite"),
+        "zero_vector": (ProblemFile("1", 3, None, None, zero_vecs), ZeroVector, r"vectors\[1\] is the zero vector"),
+        "shape": (ProblemFile("1", 4, np.ones(2), ops, None), SchemaError, "operators"),
+        # the loader's other checks
+        "schema_version": (ProblemFile("2", 3, np.ones(2), ops, None), SchemaError, "schema_version"),
+        "dim": (ProblemFile("1", True, None, None, vecs[:, :1]), SchemaError, "dim"),
+        "both": (ProblemFile("1", 3, np.ones(2), ops, vecs), SchemaError, "exactly one"),
+        "neither": (ProblemFile("1", 3, np.ones(2), None, None), SchemaError, "exactly one"),
+        "no_weights": (ProblemFile("1", 3, None, ops, None), SchemaError, "weights are required"),
+        "weight_count": (ProblemFile("1", 3, np.ones(3), None, vecs), SchemaError, "weights"),
+        "empty": (ProblemFile("1", 3, None, None, vecs[:0]), SchemaError, "vectors"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_unloadable_problems()))
+def test_write_problem_refuses_what_the_loader_rejects(tmp_path, case):
+    pf, error, match = _unloadable_problems()[case]
+    path = tmp_path / "problem.json"
+    with pytest.raises(error, match=match):
+        write_problem(pf, path)
+    assert not path.exists()
+    with pytest.raises(error, match=match):
+        emit_problem(pf)
