@@ -102,6 +102,10 @@ def _validated_grid(exponent_grid) -> tuple[float, ...]:
         # to 1, which leaves no Holder pair of finite exponents
         if not (p > 1.0 and math.isfinite(p) and p / (p - 1.0) > 1.0):
             raise InvalidExponent(f"grid entries must be finite, > 1 and have a conjugate > 1, got {p}")
+    # the catalog labels an entry by p and q at %g: one label on two
+    # entries would give rows that cannot be told apart
+    if len({f"p={p:g},q={p / (p - 1.0):g}" for p in grid}) < len(grid):
+        raise InvalidExponent(f"grid entries must have distinct labels at %g, got {grid}")
     return grid
 
 

@@ -84,11 +84,6 @@ def _parse_seed_range(text: str):
     return [_parse_seed_single(text)]
 
 
-def _check_mode(pf, mode) -> None:
-    if mode is not None and mode != pf.mode:
-        raise SchemaError(f"problem file is in {pf.mode} mode but --mode {mode} was requested")
-
-
 def _write_text(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -97,88 +92,79 @@ def _write_text(text: str, path) -> None:
             fh.write(text)
 
 
-def _cmd_bound(args) -> int:
+def _object(**fields) -> str:
+    """A one-line JSON object of already encoded values."""
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+
+
+def _report(**fields) -> str:
+    """A report's text: one field per line at two-space indent, a list
+    field with one encoded item per line."""
+    lines = []
+    for key, value in fields.items():
+        if isinstance(value, list):
+            value = "[\n" + ",\n".join("    " + item for item in value) + "\n  ]"
+        lines.append(f'  "{key}": {value}')
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def _load(args):
+    """The problem at args.input, checked against --mode, with its weights,
+    their label and its family: an OperatorFamily, or a VectorFamily
+    weighted by bessel_weighting when the file gives no weights."""
     pf = problemio.load_problem(args.input)
-    _check_mode(pf, args.mode)
-    grid = _parse_grid(args.grid)
+    if args.mode is not None and args.mode != pf.mode:
+        raise SchemaError(f"problem file is in {pf.mode} mode but --mode {args.mode} was requested")
     if pf.mode == "operators":
-        weights = pf.weights
-        label = "explicit"
-        family = OperatorFamily(pf.operators)
-        lhs_key = "lhs_sq"
-    else:
-        family = vectors.VectorFamily(pf.vectors)
-        if pf.weights is None:
-            weights = vectors.bessel_weighting(family)
-            label = "bessel"
-        else:
-            weights = pf.weights
-            label = "explicit"
-        # Per unit probe norm: the reported left side and bounds are the
-        # coefficients of ||x||^2.
-        lhs_key = "lhs_sq_per_unit_probe"
+        return pf, pf.weights, "explicit", OperatorFamily(pf.operators)
+    family = vectors.VectorFamily(pf.vectors)
+    if pf.weights is None:
+        return pf, vectors.bessel_weighting(family), "bessel", family
+    return pf, pf.weights, "explicit", family
+
+
+def _cmd_bound(args) -> int:
+    pf, weights, label, family = _load(args)
+    grid = _parse_grid(args.grid)
     reports = bounds.catalog_reports(weights, family, grid)
-
     best = bounds.tightest_report(reports)
-
-    lines = ["{"]
-    lines.append(f'  "mode": {_jstr(pf.mode)},')
-    lines.append(f'  "dim": {pf.dim},')
-    lines.append(f'  "count": {pf.count},')
-    lines.append(f'  "weights": {_jstr(label)},')
-    lines.append(f'  "{lhs_key}": {_jfloat(reports[0].lhs_sq)},')
-    lines.append('  "bounds": [')
-    for i, rep in enumerate(reports):
-        tail = "," if i + 1 < len(reports) else ""
-        lines.append(f'    {{"name": {_jstr(rep.name)}, "exponents": {_jstr(rep.exponents)}, '
-                     f'"value": {_jfloat(rep.bound)}, "slack_ratio": {_jfloat(rep.slack_ratio)}}}{tail}')
-    lines.append("  ],")
-    lines.append(f'  "tightest": {{"name": {_jstr(best.name)}, "exponents": {_jstr(best.exponents)}, '
-                 f'"value": {_jfloat(best.bound)}}}')
-    lines.append("}")
-    _write_text("\n".join(lines) + "\n", args.out)
+    # Per unit probe norm in vectors mode: the reported left side and
+    # bounds are the coefficients of ||x||^2.
+    lhs_key = "lhs_sq" if pf.mode == "operators" else "lhs_sq_per_unit_probe"
+    text = _report(
+        mode=_jstr(pf.mode), dim=pf.dim, count=pf.count, weights=_jstr(label),
+        **{lhs_key: _jfloat(reports[0].lhs_sq)},
+        bounds=[_object(name=_jstr(rep.name), exponents=_jstr(rep.exponents), value=_jfloat(rep.bound),
+                        slack_ratio=_jfloat(rep.slack_ratio)) for rep in reports],
+        tightest=_object(name=_jstr(best.name), exponents=_jstr(best.exponents), value=_jfloat(best.bound)))
+    _write_text(text, args.out)
     return 0
-
-
-def _verify_text(origin: str, result) -> str:
-    lines = ["{"]
-    lines.append(f"  {origin},")
-    lines.append(f'  "all_hold": {_jbool(result.all_hold)},')
-    lines.append(f'  "worst_violation": {_jfloat(result.worst_violation)},')
-    lines.append('  "checks": [')
-    for i, chk in enumerate(result.checks):
-        tail = "," if i + 1 < len(result.checks) else ""
-        lines.append(f'    {{"name": {_jstr(chk.name)}, "lhs": {_jfloat(chk.lhs)}, '
-                     f'"bound": {_jfloat(chk.bound)}, "holds": {_jbool(chk.holds)}, '
-                     f'"slack_ratio": {_jfloat(chk.slack_ratio)}}}{tail}')
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_verify(args) -> int:
     grid = _parse_grid(args.grid)
     if args.input is not None:
-        pf = problemio.load_problem(args.input)
-        _check_mode(pf, args.mode)
-        if pf.mode == "operators":
-            weights = pf.weights
-            family = OperatorFamily(pf.operators)
-        else:
-            vf = vectors.VectorFamily(pf.vectors)
-            weights = pf.weights if pf.weights is not None else vectors.bessel_weighting(vf)
-            family = vectors.rank_one_family(vf)
+        given = [f"--{flag}" for flag in ("kind", "dim", "count", "seed") if getattr(args, flag) is not None]
+        if given:
+            raise SchemaError(f"verify --input takes no {', '.join(given)}")
+        _, weights, _, family = _load(args)
+        if isinstance(family, vectors.VectorFamily):
+            family = vectors.rank_one_family(family)
         result = harness.verify_instance(weights, family, args.tol, exponent_grid=grid)
-        origin = f'"input": {_jstr(args.input)}'
+        origin = {"input": _jstr(args.input)}
     else:
         if args.kind is None or args.dim is None or args.count is None:
             raise SchemaError("verify needs --input, or all of --kind, --dim, --count")
-        spec = harness.InstanceSpec(kind=args.kind, dim=args.dim, count=args.count,
-                                    seed=_parse_seed_single(args.seed))
+        seed = 0 if args.seed is None else _parse_seed_single(args.seed)
+        spec = harness.InstanceSpec(kind=args.kind, dim=args.dim, count=args.count, seed=seed)
         result = harness.verify_spec(spec, args.tol, exponent_grid=grid)
-        origin = (f'"instance": {{"kind": {_jstr(spec.kind)}, "dim": {spec.dim}, '
-                  f'"count": {spec.count}, "seed": {spec.seed}}}')
-    _write_text(_verify_text(origin, result), args.out)
+        origin = {"instance": _object(kind=_jstr(spec.kind), dim=spec.dim, count=spec.count, seed=spec.seed)}
+    text = _report(
+        **origin, all_hold=_jbool(result.all_hold), worst_violation=_jfloat(result.worst_violation),
+        checks=[_object(name=_jstr(chk.name), lhs=_jfloat(chk.lhs), bound=_jfloat(chk.bound),
+                        holds=_jbool(chk.holds), slack_ratio=_jfloat(chk.slack_ratio))
+                for chk in result.checks])
+    _write_text(text, args.out)
     return 0 if result.all_hold else 1
 
 
@@ -219,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify a generated instance of this kind instead of a file")
     v.add_argument("--dim", type=int, help="dimension for generated instances")
     v.add_argument("--count", type=int, help="family size for generated instances")
-    v.add_argument("--seed", default="0", help="seed for generated instances")
+    v.add_argument("--seed", help="seed for generated instances")
     v.add_argument("--out", help="write the report here instead of stdout")
 
     s = sub.add_parser("sweep", help="slack-ratio table over generated instances")

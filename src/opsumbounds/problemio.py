@@ -3,18 +3,18 @@
 The on-disk format is JSON with every complex number written as a
 two-element [re, im] array.  Loading converts each of weights, operators
 and vectors with one np.array call to float64 of shape (..., 2), viewed
-as complex, and checks the whole array at once: its shape, the types of
-its leaves (JSON numbers only, no bools, strings or nulls) and its
-finiteness.  Only input of the wrong shape or types is walked entry by
-entry, to name the first bad entry.  Emission is hand-rolled rather than
-fed through a generic serializer so the byte stream is fixed: fixed key
-order, fixed indentation, LF endings, and every float printed with 17
-significant digits (which round-trips float64 exactly), through one
-%-format template per row of d entries.  The rows are streamed:
-write_problem writes each row as it is formatted, and emit_problem joins
-the same pieces.  Both first check the problem as the loader would check
-its text, with the loader's own array checks and exception classes, so
-no problem is written that load_problem rejects.
+as complex, and checks the shape and the leaf types (JSON numbers only,
+no bools, strings or nulls) of the whole array at once; only input of
+the wrong shape or types is walked entry by entry, to name the first bad
+entry.  _check_problem then checks what the arrays hold: it is the one
+validator of the loader and both writers, so no problem is written that
+load_problem rejects.  Emission is hand-rolled rather than fed through a
+generic serializer so the byte stream is fixed: fixed key order, fixed
+indentation, LF endings, and every float printed with 17 significant
+digits (which round-trips float64 exactly), through one %-format
+template per row of d entries.  The rows are streamed: write_problem
+writes each row as it is formatted, and emit_problem joins the same
+pieces.
 """
 
 from __future__ import annotations
@@ -68,9 +68,10 @@ def _parse_array(node, shape: tuple, where: str) -> np.ndarray:
 
     One np.array conversion reads the whole node.  np.array also takes
     bools and numeric strings as numbers and maps null to nan, so the
-    types of the flattened leaves are checked in one pass as well, before
-    the finiteness.  Only when the conversion, the shape or the types
-    fail is the node walked entry by entry, to name the first bad entry.
+    types of the flattened leaves are checked in one pass as well; the
+    finiteness is _check_problem's.  Only when the conversion, the shape
+    or the types fail is the node walked entry by entry, to name the
+    first bad entry.
     """
     try:
         arr = np.array(node, dtype=np.float64)
@@ -81,9 +82,7 @@ def _parse_array(node, shape: tuple, where: str) -> np.ndarray:
         for _ in shape:
             leaves = itertools.chain.from_iterable(leaves)
         if set(map(type, leaves)) <= _NUMBER_TYPES:
-            values = arr.view(np.complex128).reshape(shape)
-            _require_finite(values, where)
-            return values
+            return arr.view(np.complex128).reshape(shape)
     _raise_first_defect(node, shape, where)
     raise SchemaError(f"{where} is not an array of [re, im] number pairs")
 
@@ -95,12 +94,6 @@ def _require_finite(arr: np.ndarray, where: str) -> None:
     if not finite.all():
         first = np.unravel_index(np.argmin(finite), arr.shape)
         raise ValueError(where + "".join(f"[{i}]" for i in first) + " is not finite")
-
-
-def _require_no_zero_vector(vectors: np.ndarray) -> None:
-    zero = np.flatnonzero(~(vectors != 0).any(axis=1))
-    if zero.size:
-        raise ZeroVector(f"vectors[{zero[0]}] is the zero vector")
 
 
 def _raise_first_defect(node, shape: tuple, where: str) -> None:
@@ -123,13 +116,6 @@ def _raise_first_defect(node, shape: tuple, where: str) -> None:
         raise ValueError(f"{where} is not finite")
 
 
-def _parse_stack(doc, key: str, inner: tuple, items: str) -> np.ndarray:
-    node = doc[key]
-    if not (isinstance(node, list) and node):
-        raise SchemaError(f"{key} must be a nonempty list of {items}")
-    return _parse_array(node, (len(node),) + inner, key)
-
-
 def _unique_keys(pairs) -> dict:
     """An object_pairs_hook that rejects a repeated key instead of
     keeping its last value."""
@@ -142,6 +128,8 @@ def _unique_keys(pairs) -> dict:
 
 
 def loads_problem(text: str) -> ProblemFile:
+    """The problem in text: the JSON turned into arrays of the header's
+    shapes, then checked by _check_problem."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -154,31 +142,17 @@ def loads_problem(text: str) -> ProblemFile:
     for key in ("schema_version", "dim"):
         if key not in doc:
             raise SchemaError(f"missing field {key}")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {doc['schema_version']!r}")
-    dim = doc["dim"]
-    if not (isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1):
-        raise SchemaError(f"dim must be a positive integer, got {dim!r}")
-
-    has_ops = "operators" in doc
-    has_vecs = "vectors" in doc
-    if has_ops == has_vecs:
-        raise SchemaError("exactly one of operators/vectors must be present")
-
-    operators = _parse_stack(doc, "operators", (dim, dim), "matrices") if has_ops else None
-    vectors = _parse_stack(doc, "vectors", (dim,), "d-vectors") if has_vecs else None
-    if has_vecs:
-        _require_no_zero_vector(vectors)
-    n = len(operators) if has_ops else len(vectors)
-
-    weights = None
-    if "weights" in doc:
-        weights = _parse_array(doc["weights"], (n,), "weights")
-    elif has_ops:
-        raise SchemaError("weights are required in operators mode")
-
-    return ProblemFile(schema_version=SCHEMA_VERSION, dim=dim,
-                       weights=weights, operators=operators, vectors=vectors)
+    key, inner = _check_header(doc["schema_version"], doc["dim"], "operators" in doc, "vectors" in doc)
+    node = doc[key]
+    if not (isinstance(node, list) and node):
+        items = "matrices" if key == "operators" else "d-vectors"
+        raise SchemaError(f"{key} must be a nonempty list of {items}")
+    stack = _parse_array(node, (len(node),) + inner, key)
+    weights = _parse_array(doc["weights"], (len(node),), "weights") if "weights" in doc else None
+    ops, vecs = (stack, None) if key == "operators" else (None, stack)
+    pf = ProblemFile(SCHEMA_VERSION, doc["dim"], weights, ops, vecs)
+    _check_problem(pf)
+    return pf
 
 
 def load_problem(path) -> ProblemFile:
@@ -186,24 +160,32 @@ def load_problem(path) -> ProblemFile:
         return loads_problem(fh.read())
 
 
+def _check_header(schema_version, dim, has_operators: bool, has_vectors: bool) -> tuple[str, tuple]:
+    """The key of the problem's stack and the shape of one member, after
+    the checks of the schema version, dim and exactly one stack."""
+    if schema_version != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema_version {schema_version!r}")
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise SchemaError(f"dim must be a positive integer, got {dim!r}")
+    if has_operators == has_vectors:
+        raise SchemaError("exactly one of operators/vectors must be present")
+    return ("operators", (dim, dim)) if has_operators else ("vectors", (dim,))
+
+
 def _check_problem(pf: ProblemFile) -> tuple[Optional[np.ndarray], str, np.ndarray]:
     """pf's weights (or None), the key of its stack and the stack, as
-    complex arrays, after the checks loads_problem makes of the text pf
-    emits; raises what loads_problem would raise, before any text exists."""
-    if pf.schema_version != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {pf.schema_version!r}")
-    if isinstance(pf.dim, bool) or not isinstance(pf.dim, (int, np.integer)) or pf.dim < 1:
-        raise SchemaError(f"dim must be a positive integer, got {pf.dim!r}")
-    if (pf.operators is None) == (pf.vectors is None):
-        raise SchemaError("exactly one of operators/vectors must be present")
-    key, inner = ("operators", (pf.dim, pf.dim)) if pf.operators is not None else ("vectors", (pf.dim,))
+    complex arrays, after every check of a problem: the one validator of
+    loads_problem, emit_problem and write_problem."""
+    key, inner = _check_header(pf.schema_version, pf.dim, pf.operators is not None, pf.vectors is not None)
     stack = np.asarray(getattr(pf, key), dtype=np.complex128)
     if stack.shape[1:] != inner or stack.shape[0] == 0:
         raise SchemaError(f"{key} must be a nonempty stack of shape (n, {', '.join(map(str, inner))}), "
                           f"got {stack.shape}")
     _require_finite(stack, key)
     if key == "vectors":
-        _require_no_zero_vector(stack)
+        zero = np.flatnonzero(~(stack != 0).any(axis=1))
+        if zero.size:
+            raise ZeroVector(f"vectors[{zero[0]}] is the zero vector")
     weights = None
     if pf.weights is not None:
         weights = np.asarray(pf.weights, dtype=np.complex128)

@@ -275,6 +275,33 @@ def test_conjugate_exponents_and_sentinels_in_catalog_labels():
     assert ("master:max_norm+max_cross", "") in labels
 
 
+@pytest.mark.parametrize("grid", [(1.5, 1.5000001), (2.0, 2.0), (3.0, 1.25, 3.0000000001)])
+def test_grid_rejects_entries_that_share_a_label(grid, monkeypatch):
+    # labels print p and q at %g, so these entries would give catalog rows
+    # that share a (name, exponents) label and differ in value
+    from opsumbounds import linalg
+
+    def never(*args, **kwargs):
+        raise AssertionError("norms solved for a bad grid")
+
+    w, fam = _random_instance(6, d=3, n=3)
+    monkeypatch.setattr(linalg, "spectral_norms", never)
+    with pytest.raises(InvalidExponent, match="distinct labels"):
+        catalog_reports(w, fam, exponent_grid=grid)
+
+
+@pytest.mark.parametrize("grid", [None, (1.0000001, 1.0000002), (1.5, 1.50001), (2.0, 2.0**53)])
+def test_catalog_labels_are_unique(grid):
+    # entries of one %g p label can still differ in their q label;
+    # the norm data sit below 1 so the large exponents underflow quietly
+    w, dense = _random_instance(7, d=3, n=3)
+    for weights, fam in [(0.1 * w, OperatorFamily(0.01 * dense.ops)), (np.ones(3), _projections(3))]:
+        labels = [(rep.name, rep.exponents) for rep in catalog_reports(weights, fam, exponent_grid=grid)]
+        assert len(set(labels)) == len(labels)
+    # the projections are orthogonal, so their catalog has the orthogonal rows too
+    assert any(name.startswith("orthogonal:") for name, _ in labels)
+
+
 # -- probe-level consequences ------------------------------------------------
 
 

@@ -117,6 +117,15 @@ def test_bad_inputs_exit_2(ops_file, tmp_path, capsys):
     # spec route needs the full instance description
     assert main(["verify", "--kind", "GaussianDense", "--dim", "4"]) == 2
     capsys.readouterr()
+    # the file route takes none of the spec route's flags
+    assert main(["verify", "--input", ops_file, "--kind", "GaussianDense", "--dim", "2", "--count", "9"]) == 2
+    assert "--kind, --dim, --count" in capsys.readouterr().err
+    assert main(["verify", "--input", ops_file, "--seed", "0"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    # %g labels both entries p=1.5,q=3
+    assert main(["bound", "--input", ops_file, "--grid", "1.5,1.5000001"]) == 2
+    assert main(["verify", "--input", ops_file, "--grid", "2,2"]) == 2
+    capsys.readouterr()
 
 
 def test_verify_rejects_a_tol_that_is_not_finite(ops_file, capsys):
@@ -198,8 +207,9 @@ def test_bad_grid_exits_2_before_any_norm_is_solved(ops_file, capsys, monkeypatc
         raise AssertionError("norms solved for a bad grid")
 
     monkeypatch.setattr(linalg, "spectral_norms", never)
-    assert main(["bound", "--input", ops_file, "--grid", "0.5"]) == 2
-    assert "grid" in capsys.readouterr().err
+    for grid in ("0.5", "1.5,1.5000001", "2,2"):
+        assert main(["bound", "--input", ops_file, "--grid", grid]) == 2
+        assert "grid" in capsys.readouterr().err
 
 
 def test_sweep_matches_library_output(tmp_path, capsys):
@@ -253,6 +263,9 @@ FROZEN_DIGESTS = {
     "bound:operators": (0, "ccbb49b972dc2f3ec0e9adae351af18241e3dd189ebe4f2a736308bc158b3b10"),
     "bound:vectors": (0, "ae2095be2df924a7c22642caa770628081c788a998ec9db0c1a625b89270ff08"),
     "bound:vectors_weighted": (0, "4ec285b57064629aa32562fd8f4df7ba8314b362491db4135e7db377c614012a"),
+    "verify:operators": (0, "d01db2ce2f7ab6020829d567c2b686b1a4b93fc11c918cbfdaf646019862676f"),
+    "verify:vectors": (0, "26d302321d8a9b4dc8024acadaed1a4a3f67ece36a80cb864975e484b8be6766"),
+    "verify:vectors_weighted": (0, "8dde9b0bc78eaaece3067fbd79c5e5fad48c9e8b659fe69ae6af761b9a18d101"),
     "verify:GaussianDense": (0, "2c1f9e88689aaf628350b0a3c4811c421cf381113bde29507fc621078820af3b"),
     "verify:UnitaryScaled": (0, "cb236a33c325e5eef16de7495f72616743979b3de8ebf2cece256a142644dbd8"),
     "verify:RankOneFromVectors": (0, "4a430c483c7135665444e682c7ccdfd2166ff9d1891f6f5d70e2039c166c3384"),
@@ -262,7 +275,8 @@ FROZEN_DIGESTS = {
 }
 
 
-def _frozen_outputs(tmp_path):
+def _frozen_outputs():
+    # run in the working directory: verify reports print the input path
     w, fam, _ = generate(InstanceSpec("GaussianDense", 5, 4, 3))
     vecs = PortableRng(4).complex_normal((5, 6))
     files = {
@@ -272,21 +286,24 @@ def _frozen_outputs(tmp_path):
     }
     runs = {}
     for name, pf in files.items():
-        path = tmp_path / f"{name}.json"
+        path = f"{name}.json"
         write_problem(pf, path)
-        runs[f"bound:{name}"] = ["bound", "--input", str(path)]
+        runs[f"bound:{name}"] = ["bound", "--input", path]
+        runs[f"verify:{name}"] = ["verify", "--input", path]
     for kind in KINDS:
         runs[f"verify:{kind}"] = ["verify", "--kind", kind, "--dim", "6", "--count", "4", "--seed", "2"]
     runs["sweep"] = ["sweep", "--kind", "GaussianDense,BlockOrthogonal,RankOneFromVectors",
                      "--dim", "4", "--count", "3", "--seed", "0:2"]
     digests = {}
     for name, argv in runs.items():
-        out = tmp_path / f"{name.replace(':', '_')}.out"
-        code = main(argv + ["--out", str(out)])
-        digests[name] = (code, hashlib.sha256(out.read_bytes()).hexdigest())
+        out = f"{name.replace(':', '_')}.out"
+        code = main(argv + ["--out", out])
+        with open(out, "rb") as fh:
+            digests[name] = (code, hashlib.sha256(fh.read()).hexdigest())
     return digests
 
 
-def test_frozen_report_digests(tmp_path, capsys):
-    assert _frozen_outputs(tmp_path) == FROZEN_DIGESTS
+def test_frozen_report_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _frozen_outputs() == FROZEN_DIGESTS
     capsys.readouterr()

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from opsumbounds import problemio
 from opsumbounds.errors import ParseError, SchemaError, ZeroVector
 from opsumbounds.problemio import (
     ProblemFile,
@@ -129,6 +130,18 @@ def test_zero_vector_rejected():
         loads_problem('{"schema_version": "1", "dim": 2, "vectors": [[[0,0],[0,0]]]}')
     with pytest.raises(ZeroVector, match=r"vectors\[1\] is the zero vector"):
         loads_problem('{"schema_version": "1", "dim": 2, "vectors": [[[0,0],[5e-324,0]],[[0,0],[-0.0,0]]]}')
+
+
+def test_weights_structure_is_checked_before_the_stack_contents():
+    # the loader converts the weights before the one validator checks what
+    # either array holds, so a malformed weights entry is named first
+    with pytest.raises(SchemaError, match=r"weights\[0\] must be a two-element \[re, im\] number pair"):
+        loads_problem('{"schema_version":"1","dim":1,"weights":[["x",0]],"vectors":[[[0,0]]]}')
+    with pytest.raises(SchemaError, match="weights must have 1 entries"):
+        loads_problem('{"schema_version":"1","dim":1,"weights":[[1,0],[2,0]],"operators":[[[[NaN,0]]]]}')
+    # between two content defects the stack's still comes first
+    with pytest.raises(ZeroVector):
+        loads_problem('{"schema_version":"1","dim":1,"weights":[[NaN,0]],"vectors":[[[0,0]]]}')
 
 
 def test_frozen_single_entry_emission():
@@ -321,3 +334,43 @@ def test_write_problem_refuses_what_the_loader_rejects(tmp_path, case):
     assert not path.exists()
     with pytest.raises(error, match=match):
         emit_problem(pf)
+
+
+def _hand_text(pf):
+    # the problem's JSON text written without the emitter's checks
+    doc = {"schema_version": pf.schema_version, "dim": pf.dim}
+    for key in ("weights", "operators", "vectors"):
+        value = getattr(pf, key)
+        if value is not None:
+            value = np.asarray(value, dtype=np.complex128)
+            doc[key] = np.stack([value.real, value.imag], axis=-1).tolist()
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("case", list(_unloadable_problems()))
+def test_loader_raises_what_the_writer_raises(tmp_path, case):
+    pf, error, match = _unloadable_problems()[case]
+    with pytest.raises(error, match=match) as written:
+        write_problem(pf, tmp_path / "problem.json")
+    with pytest.raises(error, match=match) as loaded:
+        loads_problem(_hand_text(pf))
+    assert loaded.type is written.type
+
+
+class _Reached(Exception):
+    pass
+
+
+def test_loader_and_writers_share_one_validator(tmp_path, monkeypatch):
+    def reached(pf):
+        raise _Reached
+
+    monkeypatch.setattr(problemio, "_check_problem", reached)
+    with pytest.raises(_Reached):
+        loads_problem(_ops_doc())
+    pf = ProblemFile("1", 2, None, None, PortableRng(8).complex_normal((2, 2)))
+    with pytest.raises(_Reached):
+        emit_problem(pf)
+    with pytest.raises(_Reached):
+        write_problem(pf, tmp_path / "problem.json")
+    assert not (tmp_path / "problem.json").exists()
