@@ -187,15 +187,15 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = 1e-9, *,
     w = as_weights(alpha, fam.count)
     checks: list[CheckRecord] = []
 
+    # the catalog checks the grid before anything is solved; its left side
+    # is the CBS norm check's too, so the assembled-sum norm is computed once
+    reports = bounds.catalog_reports(w, fam, exponent_grid)
     gap = cbs_operator_gap(w, fam)
     checks.append(CheckRecord("psd_gap", -gap.min_eigenvalue, gap.limit,
                               gap.holds, bounds.slack_ratio(max(-gap.min_eigenvalue, 0.0), gap.limit)))
     checks.append(CheckRecord("psd_gap_inner", -gap.inner_min_eigenvalue, gap.inner_limit, gap.inner_holds,
                               bounds.slack_ratio(max(-gap.inner_min_eigenvalue, 0.0), gap.inner_limit)))
 
-    # the catalog's left side is the quantity the CBS norm check
-    # dominates, so the assembled-sum norm is computed once
-    reports = bounds.catalog_reports(w, fam, exponent_grid)
     lhs = reports[0].lhs_sq
     rhs = float((np.abs(w) ** 2).sum()) * fam.sum_products_norm
     checks.append(CheckRecord("cbs_norm", lhs, rhs, lhs <= rhs * (1.0 + 1e-9),

@@ -212,6 +212,26 @@ def test_bad_grid_exits_2_before_any_norm_is_solved(ops_file, capsys, monkeypatc
         assert "grid" in capsys.readouterr().err
 
 
+def test_verify_bad_grid_exits_2_before_the_psd_gap_is_solved(capsys, monkeypatch):
+    from opsumbounds import linalg
+
+    solved = []
+    eigenvalues = linalg.hermitian_eigenvalues
+
+    def spy(*args, **kwargs):
+        solved.append(args)
+        return eigenvalues(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_eigenvalues", spy)
+    instance = ["verify", "--kind", "GaussianDense", "--dim", "16", "--count", "4"]
+    for grid in ("0.5", "2,2"):
+        assert main(instance + ["--grid", grid]) == 2
+        assert "grid" in capsys.readouterr().err
+    assert solved == []
+    assert main(instance + ["--grid", "2"]) == 0
+    assert len(solved) == 1
+
+
 def test_sweep_matches_library_output(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--kind", "GaussianDense,OrthonormalRankOne",

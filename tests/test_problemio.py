@@ -277,6 +277,12 @@ def _byte_cases():
         cases[f"vectors-d{d}-n{n}"] = ProblemFile("1", d, None, None, vecs)
         cases[f"vectors-weighted-d{d}-n{n}"] = ProblemFile("1", d, _special_entries((n,), rng), None, vecs)
     cases["integers"] = ProblemFile("1", 2, np.array([1, -2]), np.arange(8).reshape(2, 2, 2) - 3, None)
+    # Python's formatter alone (x 1e-300 and x 1e-5), the vector route
+    # alone (x 1e16), and vectors rows longer than one block
+    w, ops = rng.complex_normal(3), rng.complex_normal((3, 64, 64))
+    for scale in (1e-300, 1e-5, 1e16):
+        cases[f"operators-d64-x{scale:g}"] = ProblemFile("1", 64, w, scale * ops, None)
+    cases["vectors-d1100-n3"] = ProblemFile("1", 1100, w, None, rng.complex_normal((3, 1100)))
     return cases
 
 
@@ -374,3 +380,48 @@ def test_loader_and_writers_share_one_validator(tmp_path, monkeypatch):
     with pytest.raises(_Reached):
         write_problem(pf, tmp_path / "problem.json")
     assert not (tmp_path / "problem.json").exists()
+
+
+def _formatter_cases():
+    """About a million float64 values, both signs of each: random bit
+    patterns, subnormals, every decade from 1e-6 to 1e18, exact ties of
+    17-digit rounding, integers in [1e16, 1e18], and the powers of ten
+    (1e-4 and 1e17, the ends of the vector route, among them) with their
+    neighbours."""
+    rng = np.random.default_rng(1517)
+    bits = rng.integers(0, 2**63, 200_000, dtype=np.uint64, endpoint=False)
+    random_bits = bits.view(np.float64)
+    subnormals = (bits[:20_000] >> np.uint64(12)).view(np.float64)
+    decades = np.concatenate([rng.uniform(1.0, 10.0, 10_000) * float(f"1e{e}") for e in range(-6, 19)])
+    j = np.arange(20_000)
+    ties = np.concatenate([1e15 + (2 * j + 1) / 4, (2.0**52 + j) / 8])
+    integers = rng.integers(10**16, 10**18, 50_000).astype(np.float64)
+    powers = np.array([float(f"1e{e}") for e in range(-30, 31)])
+    near = [powers]
+    for toward in (0.0, np.inf):
+        step = powers
+        for _ in range(3):
+            step = np.nextafter(step, toward)
+            near.append(step)
+    extremes = np.array([0.0, 5e-324, 1.7976931348623157e308])
+    values = np.concatenate([random_bits[np.isfinite(random_bits)], subnormals, decades, ties, integers,
+                             *near, extremes])
+    return np.concatenate([values, -values])
+
+
+def test_rows_print_every_float_as_percent_17g():
+    values = _formatter_cases()
+    fast = (np.abs(values) >= 1e-4) & (np.abs(values) < 1e17)
+    assert 0.3 < fast.mean() < 0.7
+    order = np.random.default_rng(7).permutation(values.size)
+    half, rest = order[:values.size // 2], order[values.size // 2:]
+    # rows of 64 pairs, ordered so most blocks take one route and some
+    # take both; then mixed rows of 1500 pairs, each longer than a block
+    by_route = np.concatenate([half[fast[half]], half[~fast[half]]])
+    for index, d in ((by_route, 64), (rest, 1500)):
+        flat = values[index[:index.size // (2 * d) * 2 * d]]
+        rows = flat.view(np.complex128).reshape(-1, d)
+        got, want = list(problemio._rows(rows)), _whole_text_rows(rows)
+        assert len(got) == len(want)
+        bad = [k for k, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert not bad, f"{len(bad)} rows differ, the first at row {bad[0]} of d={d}"
