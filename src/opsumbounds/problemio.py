@@ -198,8 +198,12 @@ def _check_problem(pf: ProblemFile) -> tuple[Optional[np.ndarray], str, np.ndarr
     return weights, key, stack
 
 
-_BLOCK = 2048  # floats formatted at once: the writer holds one block
+_BLOCK = 2048  # floats formatted at once, or one row when a row is longer
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for float64
+_SCALE = np.cumprod(np.full(21, 10.0)) / 10.0  # 10^j, j = 0..20, exact
+_SCALE_HI = _SPLIT * _SCALE - (_SPLIT * _SCALE - _SCALE)  # its Veltkamp halves
+_SCALE_LO = _SCALE - _SCALE_HI
+_DECADES = 1e16 / _SCALE[::-1]  # the doubles nearest 10^-4..10^16
 
 
 @lru_cache(maxsize=1)
@@ -208,21 +212,19 @@ def _digit_tables() -> tuple:
     bytes, NUL where nothing is printed: bytes 0-5 hold the sign and, if
     k < 0, "0." and -k-1 zeros; byte 6 + 2i digit i, and the byte after
     digit k < 16 the '.'.  Per 4-digit value: its digits so spaced and
-    the place (1-4) of its last nonzero digit (-99 for 0); 10^j, j = 0..20,
-    and its Veltkamp halves; per group (k + 4) * 2 + sign: bytes 0-5 and
-    the '.'; per b = 0..32: the mask keeping bytes 0-5 and 6 + r, r <= b."""
+    the place (1-4) of its last nonzero digit (-99 for 0); per group
+    (k + 4) * 2 + sign: bytes 0-5 and the '.'; per b = 0..32: the mask
+    keeping bytes 0-5 and 6 + r, r <= b."""
     digits = np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.int16) % 10
     quads = np.zeros((10000, 8), dtype=np.uint8)
     quads[:, ::2] = digits + 48
     last = np.where(digits.any(axis=1), 4 - (digits[:, ::-1] != 0).argmax(axis=1), -99).astype(np.int16)
-    scale = np.cumprod(np.full(21, 10.0)) / 10.0
-    scale_hi = _SPLIT * scale - (_SPLIT * scale - scale)
     k, j = np.repeat(np.arange(-4, 17), 2)[:, None], np.arange(40)
     groups = np.where((j == 0) & (np.tile([0, 1], 21)[:, None] == 1), 45, 0)
     groups += np.where((k < 0) & (1 <= j) & (j < 2 - k), np.where(j == 2, 46, 48), 0)
     groups += np.where((0 <= k) & (k < 16) & (j == 2 * k + 7), 46, 0)
     keep = np.where((j < 6) | (j - 6 <= np.arange(33)[:, None]), 255, 0)
-    tables = (quads.view(np.uint64).ravel(), last, scale, scale_hi, scale - scale_hi,
+    tables = (quads.view(np.uint64).ravel(), last,
               groups.astype(np.uint8).view(np.uint64), keep.astype(np.uint8).view(np.uint64))
     for table in tables:
         table.flags.writeable = False
@@ -234,12 +236,11 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to 17 digits.  k is exact, as no double nearest 10^-4..10^16 is below
     its power; Dekker's product gives a 10^(16-k) exactly as hi + lo.
     N < 10^17: no double of the range lies in [(1 - 5e-18) 10^m, 10^m)."""
-    _, _, scale, scale_hi, scale_lo, _, _ = _digit_tables()
-    j = 21 - np.searchsorted(1e16 / scale[::-1], a, side="right")  # 16 - k
+    j = 21 - np.searchsorted(_DECADES, a, side="right")  # 16 - k
     c = _SPLIT * a
     a_hi = c - (c - a)
     a_lo = a - a_hi
-    b, b_hi, b_lo = scale.take(j), scale_hi.take(j), scale_lo.take(j)
+    b, b_hi, b_lo = _SCALE.take(j), _SCALE_HI.take(j), _SCALE_LO.take(j)
     hi = a * b
     lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64), 16 - j
@@ -249,7 +250,7 @@ def _fixed_text(x: np.ndarray) -> np.ndarray:
     """'%.17g' % v for each v in x, 1e-4 <= |v| < 1e17, as S40 texts
     whose NULs are to be dropped: N's digits with the point after digit
     k (or "0." and -k-1 zeros first) and the fraction's zeros stripped."""
-    quads, last_place, _, _, _, groups, keep = _digit_tables()
+    quads, last_place, groups, keep = _digit_tables()
     n, k = _decimal(np.abs(x))
     quad = np.stack([n // 10**12, n // 10**8, n // 10**4, n], axis=1)  # digits 1-4, ..., 13-16
     quad -= quad // 10**4 * 10**4
@@ -263,27 +264,24 @@ def _fixed_text(x: np.ndarray) -> np.ndarray:
 
 def _rows(arr: np.ndarray) -> Iterator[str]:
     """One JSON row of [re, im] pairs per run of arr's last axis, built a
-    block at a time from _fixed_text and, elsewhere, '%.17g'; a block with
-    no float for _fixed_text takes one %.17g template per row."""
+    block at a time: _fixed_text's texts and, elsewhere, '%.17g' texts
+    space-padded to 24 bytes by one format call; NULs and spaces, which
+    no printed float holds, are dropped from each row."""
     width = 2 * arr.shape[-1]
-    pairs = ",".join(["[%s,%s]"] * (width // 2))
-    texts_row, floats_row = f"[{pairs}]".encode(), "[" + pairs.replace("%s", _FLOAT_FORMAT) + "]"
+    texts_row = ("[" + ",".join(["[%s,%s]"] * (width // 2)) + "]").encode()
     flat = np.ascontiguousarray(arr).view(np.float64).reshape(-1, width)
     step = max(1, _BLOCK // width)
     for start in range(0, len(flat), step):
         block = flat[start:start + step]
         size = np.abs(block)
         fast = ((size >= 1e-4) & (size < 1e17)).ravel()
-        if not fast.any():
-            yield from (floats_row % tuple(row) for row in block.tolist())
-            continue
         x, texts = block.ravel(), np.zeros(fast.size, dtype="S40")
         texts[fast] = _fixed_text(x[fast])
-        texts, slow = texts.tolist(), np.flatnonzero(~fast)
-        for i, v in zip(slow.tolist(), x[slow].tolist()):
-            texts[i] = b"%.17g" % v
+        slow = x[~fast].tolist()
+        texts[~fast] = np.frombuffer(b"%-24.17g" * len(slow) % tuple(slow), dtype="S24")  # 24 >= len('%.17g' % v)
+        texts = texts.tolist()
         for r in range(0, len(texts), width):
-            yield (texts_row % tuple(texts[r:r + width])).translate(None, b"\0").decode("ascii")
+            yield (texts_row % tuple(texts[r:r + width])).translate(None, b"\0 ").decode("ascii")
 
 
 def _chunks(weights: Optional[np.ndarray], key: str, stack: np.ndarray) -> Iterator[str]:

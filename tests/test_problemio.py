@@ -415,8 +415,9 @@ def test_rows_print_every_float_as_percent_17g():
     assert 0.3 < fast.mean() < 0.7
     order = np.random.default_rng(7).permutation(values.size)
     half, rest = order[:values.size // 2], order[values.size // 2:]
-    # rows of 64 pairs, ordered so most blocks take one route and some
-    # take both; then mixed rows of 1500 pairs, each longer than a block
+    # rows of 64 pairs, ordered so most blocks are all fast-range or all
+    # fallback and some are mixed; then mixed rows of 1500 pairs, each
+    # longer than a block
     by_route = np.concatenate([half[fast[half]], half[~fast[half]]])
     for index, d in ((by_route, 64), (rest, 1500)):
         flat = values[index[:index.size // (2 * d) * 2 * d]]
