@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cbs import OperatorFamily, as_weights
-from .errors import DimensionMismatch, InvalidExponent
+from .errors import DimensionMismatch, InvalidExponent, finite_array
 
 DEFAULT_GRID = (1.25, 1.5, 2.0, 3.0, 4.0)
 ORTHOGONAL_TOL = 1e-10
@@ -198,20 +198,23 @@ def tightest_report(reports) -> BoundReport:
     return min(reports, key=lambda rep: rep.bound)
 
 
-def _probe_vector(x, dim: int) -> np.ndarray:
-    xv = np.asarray(x, dtype=np.complex128)
-    if xv.ndim != 1 or xv.size != dim:
+def _probe_vector(x, dim: int, where: str) -> np.ndarray:
+    xv = finite_array(x, 1, where)
+    if xv.size != dim:
         raise DimensionMismatch(f"probe vector shape {xv.shape} does not match dimension {dim}")
-    if not np.isfinite(xv).all():
-        raise ValueError("probe entries must be finite")
     return xv
+
+
+def _probe_image(alpha, fam: OperatorFamily, x) -> tuple[np.ndarray, np.ndarray]:
+    """The probe x as an array and its image (sum alpha_i A_i) x."""
+    w = as_weights(alpha, fam.count)
+    xv = _probe_vector(x, fam.dim, "x")
+    return xv, np.einsum("i,iab,b->a", w, fam.ops, xv)
 
 
 def vector_image_bound(alpha, fam: OperatorFamily, x, M: float) -> tuple[float, float, bool]:
     """Check ||sum alpha_i A_i x||^2 <= M ||x||^2 for a concrete x."""
-    w = as_weights(alpha, fam.count)
-    xv = _probe_vector(x, fam.dim)
-    img = np.einsum("i,iab,b->a", w, fam.ops, xv)
+    xv, img = _probe_image(alpha, fam, x)
     lhs = float((np.abs(img) ** 2).sum())
     rhs = float((np.abs(xv) ** 2).sum()) * M
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
@@ -219,10 +222,8 @@ def vector_image_bound(alpha, fam: OperatorFamily, x, M: float) -> tuple[float, 
 
 def bilinear_bound(alpha, fam: OperatorFamily, x, y, M: float) -> tuple[float, float, bool]:
     """Check |sum alpha_i (A_i x, y)|^2 <= M ||x||^2 ||y||^2."""
-    w = as_weights(alpha, fam.count)
-    xv = _probe_vector(x, fam.dim)
-    yv = _probe_vector(y, fam.dim)
-    img = np.einsum("i,iab,b->a", w, fam.ops, xv)
+    xv, img = _probe_image(alpha, fam, x)
+    yv = _probe_vector(y, fam.dim, "y")
     lhs = float(abs((img * yv.conj()).sum()) ** 2)
     rhs = float((np.abs(xv) ** 2).sum()) * float((np.abs(yv) ** 2).sum()) * M
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)

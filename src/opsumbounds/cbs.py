@@ -20,17 +20,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, finite_array
 
 
-def as_weights(z, n: int | None = None) -> np.ndarray:
-    """Coerce a weight list to a finite complex 1-d array."""
-    w = np.asarray(z, dtype=np.complex128)
-    if w.ndim != 1 or w.size == 0:
-        raise DimensionMismatch(f"expected a nonempty 1-d weight list, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    if n is not None and w.size != n:
+def as_weights(z, n: int) -> np.ndarray:
+    """Coerce a weight list to a finite complex 1-d array of n entries."""
+    w = finite_array(z, 1, "weights")
+    if w.size != n:
         raise DimensionMismatch(f"{w.size} weights for a family of {n} operators")
     return w
 
@@ -46,14 +42,9 @@ class OperatorFamily:
     """
 
     def __init__(self, ops):
-        try:
-            stack = np.asarray(ops, dtype=np.complex128)
-        except (TypeError, ValueError) as exc:
-            raise DimensionMismatch("operators do not form one stack of numeric matrices") from exc
-        if stack.ndim != 3 or 0 in stack.shape or stack.shape[1] != stack.shape[2]:
-            raise DimensionMismatch(f"expected a nonempty stack of square matrices, got shape {stack.shape}")
-        if not np.isfinite(stack).all():
-            raise ValueError("operator entries must be finite")
+        stack = finite_array(ops, 3, "operators")
+        if stack.shape[1] != stack.shape[2]:
+            raise DimensionMismatch(f"expected a stack of square matrices, got shape {stack.shape}")
         self.ops = stack
         self.count = int(stack.shape[0])
         self.dim = int(stack.shape[1])
@@ -160,7 +151,7 @@ def cbs_operator_gap(z, fam: OperatorFamily) -> PsdGapResult:
     and the symmetrized S S^* go to the eigensolver as one stack.
     """
     w = as_weights(z, fam.count)
-    s = np.einsum("i,iab->ab", w, fam.ops)
+    s = fam.weighted_sum(w)
     inner = s @ s.conj().T
     raw = float((np.abs(w) ** 2).sum()) * fam.sum_products - inner
     gap = 0.5 * (raw + raw.conj().T)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, finite_array
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10000
@@ -43,9 +43,10 @@ def _perturbation(k: int) -> np.ndarray:
     return p
 
 
-def _pow2_scale(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each slice divided by 2^e, with e the binary exponent of its
-    largest real or imaginary part, and the exponents e.
+def pow2_scale(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each stack[i] divided by 2^e over all of its remaining axes, with
+    e the binary exponent of its largest real or imaginary part, and the
+    exponents e.
 
     Dividing by a power of two is exact, so a result computed on the
     scaled slices and multiplied back by np.ldexp carries the same bits
@@ -53,9 +54,9 @@ def _pow2_scale(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     make up B and the Jacobi scale can no longer overflow, nor underflow
     at the slice's own scale.
     """
-    parts = stack.view(np.float64)
-    exps = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
-    return np.ldexp(parts, -exps[:, None, None]).view(np.complex128), exps
+    parts = np.asarray(stack, dtype=np.complex128, order="C").view(np.float64)
+    exps = np.frexp(np.abs(parts).max(axis=tuple(range(1, parts.ndim))))[1]
+    return np.ldexp(parts, -exps.reshape((-1,) + (1,) * (parts.ndim - 1))).view(np.complex128), exps
 
 
 def _hermitian_products(stack: np.ndarray) -> np.ndarray:
@@ -155,15 +156,6 @@ def _power_stack(bs: np.ndarray):
     return lam, iters, resid, done
 
 
-def _finite_stack(ms) -> np.ndarray:
-    stack = np.asarray(ms, dtype=np.complex128)
-    if stack.ndim != 3 or 0 in stack.shape:
-        raise DimensionMismatch(f"expected a nonempty stack of matrices, got shape {stack.shape}")
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix entries must be finite")
-    return stack
-
-
 def spectral_norm(m) -> SpectralNormResult:
     """Largest singular value of M, via power iteration on M^H M.
 
@@ -173,7 +165,7 @@ def spectral_norm(m) -> SpectralNormResult:
     NoConvergence when the residual is still above DEFAULT_TOL after
     DEFAULT_MAX_ITER steps.
     """
-    scaled, exps = _pow2_scale(_finite_stack(np.asarray(m)[None]))
+    scaled, exps = pow2_scale(finite_array(m, 2, "matrix")[None])
     lam, iters, resid, done = _power_stack(_hermitian_products(scaled))
     value = math.ldexp(math.sqrt(max(float(lam[0]), 0.0)), int(exps[0]))
     if not done[0]:
@@ -190,7 +182,7 @@ def spectral_norms(ms) -> np.ndarray:
     to converge in DEFAULT_MAX_ITER steps fall back together to the
     Jacobi eigenvalue route, which is slower but gap-independent.
     """
-    scaled, exps = _pow2_scale(_finite_stack(ms))
+    scaled, exps = pow2_scale(finite_array(ms, 3, "matrices"))
     bs = _hermitian_products(scaled)
     del scaled  # not read again; freeing it lowers the peak of a large stack
     lam, _, _, done = _power_stack(bs)
@@ -308,12 +300,15 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     Raises NotHermitian when H deviates from its adjoint by more than
     DEFAULT_TOL times its largest entry.
     """
-    a = np.asarray(h, dtype=np.complex128)
-    stack = _finite_stack(a[None] if a.ndim == 2 else a)
+    try:
+        single = np.ndim(h) == 2
+    except ValueError:  # ragged input, which finite_array reports
+        single = False
+    stack = finite_array(h, 2, "matrix")[None] if single else finite_array(h, 3, "matrices")
     if stack.shape[1] != stack.shape[2]:
-        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    scaled, exps = _pow2_scale(stack)
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {stack.shape[single:]}")
+    scaled, exps = pow2_scale(stack)
     _require_hermitian(scaled)
     w = 0.5 * (scaled + scaled.conj().transpose(0, 2, 1))
     eigs = np.ldexp(_jacobi_stack(w), exps[:, None])
-    return eigs[0] if a.ndim == 2 else eigs
+    return eigs[0] if single else eigs

@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ZeroVector
+from .errors import ParseError, SchemaError, ZeroVector, finite_array
 
 SCHEMA_VERSION = "1"
 
@@ -86,15 +86,6 @@ def _parse_array(node, shape: tuple, where: str) -> np.ndarray:
             return arr.view(np.complex128).reshape(shape)
     _raise_first_defect(node, shape, where)
     raise SchemaError(f"{where} is not an array of [re, im] number pairs")
-
-
-def _require_finite(arr: np.ndarray, where: str) -> None:
-    """Raise ValueError naming the first entry of arr, in document
-    order, that is not finite."""
-    finite = np.isfinite(arr)
-    if not finite.all():
-        first = np.unravel_index(np.argmin(finite), arr.shape)
-        raise ValueError(where + "".join(f"[{i}]" for i in first) + " is not finite")
 
 
 def _raise_first_defect(node, shape: tuple, where: str) -> None:
@@ -182,7 +173,7 @@ def _check_problem(pf: ProblemFile) -> tuple[Optional[np.ndarray], str, np.ndarr
     if stack.shape[1:] != inner or stack.shape[0] == 0:
         raise SchemaError(f"{key} must be a nonempty stack of shape (n, {', '.join(map(str, inner))}), "
                           f"got {stack.shape}")
-    _require_finite(stack, key)
+    stack = finite_array(stack, stack.ndim, key)
     if key == "vectors":
         zero = np.flatnonzero(~(stack != 0).any(axis=1))
         if zero.size:
@@ -192,7 +183,7 @@ def _check_problem(pf: ProblemFile) -> tuple[Optional[np.ndarray], str, np.ndarr
         weights = np.asarray(pf.weights, dtype=np.complex128)
         if weights.shape != stack.shape[:1]:
             raise SchemaError(f"weights must have {stack.shape[0]} entries, got shape {weights.shape}")
-        _require_finite(weights, "weights")
+        weights = finite_array(weights, 1, "weights")
     elif key == "operators":
         raise SchemaError("weights are required in operators mode")
     return weights, key, stack
@@ -263,13 +254,13 @@ def _fixed_text(x: np.ndarray) -> np.ndarray:
 
 
 def _rows(arr: np.ndarray) -> Iterator[str]:
-    """One JSON row of [re, im] pairs per run of arr's last axis, built a
-    block at a time: _fixed_text's texts and, elsewhere, '%.17g' texts
+    """One JSON row of [re, im] pairs per run of arr's last axis (arr
+    C-ordered, as _check_problem returns it), built a block at a time: _fixed_text's texts and, elsewhere, '%.17g' texts
     space-padded to 24 bytes by one format call; NULs and spaces, which
     no printed float holds, are dropped from each row."""
     width = 2 * arr.shape[-1]
     texts_row = ("[" + ",".join(["[%s,%s]"] * (width // 2)) + "]").encode()
-    flat = np.ascontiguousarray(arr).view(np.float64).reshape(-1, width)
+    flat = arr.view(np.float64).reshape(-1, width)
     step = max(1, _BLOCK // width)
     for start in range(0, len(flat), step):
         block = flat[start:start + step]

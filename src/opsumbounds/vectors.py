@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .cbs import OperatorFamily, as_weights
-from .errors import DimensionMismatch, ZeroVector
+from .errors import ZeroVector, finite_array
 
 
 class VectorFamily:
@@ -34,21 +34,14 @@ class VectorFamily:
     operators read off the Gram matrix."""
 
     def __init__(self, vectors):
-        try:
-            stack = np.ascontiguousarray(vectors, dtype=np.complex128)
-        except (TypeError, ValueError) as exc:
-            raise DimensionMismatch("vectors do not form one stack of numeric rows") from exc
-        if stack.ndim != 2 or 0 in stack.shape:
-            raise DimensionMismatch(f"expected a nonempty stack of vectors, got shape {stack.shape}")
-        if not np.isfinite(stack).all():
-            raise ValueError("vector entries must be finite")
+        stack = finite_array(vectors, 2, "vectors")
         # each vector is divided by a power of two near its largest part
         # first, so the squares can neither overflow nor underflow
-        exps = np.frexp(np.abs(stack.view(np.float64)).max(axis=1))[1]
-        unit = np.ldexp(stack.view(np.float64), -exps[:, None]).view(np.complex128)
+        unit, exps = linalg.pow2_scale(stack)
         norms = np.ldexp(np.sqrt((np.abs(unit) ** 2).sum(axis=1)), exps)
-        if (norms == 0.0).any():
-            raise ZeroVector("vector family contains a zero vector")
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise ZeroVector(f"vectors[{zero[0]}] is the zero vector")
         self.vectors = stack
         self.count = int(stack.shape[0])
         self.dim = int(stack.shape[1])

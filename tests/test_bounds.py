@@ -343,5 +343,11 @@ def test_probe_shape_rejection():
         vector_image_bound(w, fam, [1.0, 2.0], 1.0)
     with pytest.raises(DimensionMismatch):
         bilinear_bound(w, fam, np.zeros(3), np.zeros(4), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^x\[0\] is not finite$"):
         vector_image_bound(w, fam, [np.nan, 0.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match=r"^y\[2\] is not finite$"):
+        bilinear_bound(w, fam, np.ones(3), [0.0, 1.0, np.inf], 1.0)
+    with pytest.raises(ValueError, match=r"^weights\[1\] is not finite$"):
+        bilinear_bound([1.0, np.nan], fam, np.ones(3), np.ones(3), 1.0)
+    with pytest.raises(DimensionMismatch):
+        vector_image_bound(w, fam, np.ones((1, 3)), 1.0)

@@ -20,8 +20,10 @@ def test_family_validation():
         OperatorFamily(np.zeros((2, 3, 4)))
     with pytest.raises(DimensionMismatch):
         OperatorFamily([np.eye(2), np.eye(3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^operators\[0\]\[0\]\[0\] is not finite$"):
         OperatorFamily(np.full((1, 2, 2), np.nan))
+    with pytest.raises(ValueError, match=r"^operators\[1\]\[1\]\[0\] is not finite$"):
+        OperatorFamily([np.eye(2), [[0.0, 0.0], [np.inf, 1.0]]])
     # one conversion path: ragged, non-numeric, empty and wrong-rank
     # input all raise DimensionMismatch
     for bad in ([[[1.0, 2.0], [3.0]]], [[["a"]]], [[[object()]]], [], np.zeros((2, 0, 0)), np.eye(2)):
@@ -36,8 +38,23 @@ def test_as_weights_shapes():
     assert w.dtype == np.complex128
     with pytest.raises(DimensionMismatch):
         as_weights([1.0], 2)
-    with pytest.raises(ValueError):
-        as_weights([np.inf], 1)
+    with pytest.raises(ValueError, match=r"^weights\[1\] is not finite$"):
+        as_weights([1.0, np.inf, np.nan], 3)
+    # a scalar is no weight list, and neither is a stack of them
+    for bad in (3.0, [[1.0, 2.0]], [], [1.0, "a"]):
+        with pytest.raises(DimensionMismatch):
+            as_weights(bad, 1)
+
+
+def test_strided_operators_and_weights_give_the_bits_of_contiguous_copies():
+    rng = PortableRng(4042)
+    t = rng.complex_normal((4, 4, 3)).transpose(2, 0, 1)
+    w = rng.complex_normal(6)[::2]
+    strided = cbs_operator_gap(w, OperatorFamily(t))
+    contiguous = cbs_operator_gap(np.ascontiguousarray(w), OperatorFamily(np.ascontiguousarray(t)))
+    assert np.array_equal(strided.gap, contiguous.gap)
+    assert strided.min_eigenvalue == contiguous.min_eigenvalue
+    assert strided.inner_min_eigenvalue == contiguous.inner_min_eigenvalue
 
 
 def test_family_cached_norms_hand_values():

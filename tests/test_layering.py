@@ -8,7 +8,7 @@ import inspect
 from pathlib import Path
 
 import opsumbounds
-from opsumbounds import bounds, cbs, harness, linalg, vectors
+from opsumbounds import bounds, cbs, errors, harness, linalg, problemio, vectors
 
 PACKAGE = Path(opsumbounds.__file__).resolve().parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
@@ -116,3 +116,36 @@ def test_one_catalog_entry_point():
     assert list(inspect.signature(bounds.catalog_reports).parameters) == ["alpha", "fam", "exponent_grid"]
     assert "bounds" not in _imported_siblings(PACKAGE / "vectors.py")
     assert {"linalg", "cbs"} <= _imported_siblings(PACKAGE / "vectors.py")
+
+
+def _functions_calling(attr: str) -> set:
+    """(module, function) for every top-level function or method whose
+    body reads np.<attr>, and (module, None) for a read outside any."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owners = {}
+        for top in tree.body:
+            defs = [top] if isinstance(top, ast.FunctionDef) else []
+            if isinstance(top, ast.ClassDef):
+                defs = [d for d in top.body if isinstance(d, ast.FunctionDef)]
+            for d in defs:
+                owners.update((id(node), d.name) for node in ast.walk(d))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == attr
+                    and isinstance(node.value, ast.Name) and node.value.id == "np"):
+                found.add((path.stem, owners.get(id(node))))
+    return found
+
+
+def test_one_intake_check_for_outside_arrays():
+    # errors.finite_array is the one finiteness check of caller arrays;
+    # problemio's walk of the JSON pairs names a bad pair before any array
+    # exists, and linalg.pow2_scale is the one power-of-two scaler
+    assert _functions_calling("isfinite") == {("errors", "finite_array"), ("problemio", "_raise_first_defect")}
+    assert _functions_calling("frexp") == {("linalg", "pow2_scale")}
+    assert not hasattr(linalg, "_finite_stack") and not hasattr(linalg, "_pow2_scale")
+    assert not hasattr(problemio, "_require_finite")
+    assert callable(errors.finite_array) and callable(linalg.pow2_scale)
+    # every caller names its family's count
+    assert inspect.signature(cbs.as_weights).parameters["n"].default is inspect.Parameter.empty

@@ -142,8 +142,37 @@ def test_spectral_norms_rejects_bad_shapes():
     for shape in [(0, 3, 3), (2, 0, 3), (2, 3, 0)]:
         with pytest.raises(DimensionMismatch):
             linalg.spectral_norms(np.zeros(shape))
-    with pytest.raises(ValueError):
-        linalg.spectral_norms(np.array([[[np.inf, 0], [0, 0]]]))
+    with pytest.raises(ValueError, match=r"^matrices\[1\]\[0\]\[1\] is not finite$"):
+        linalg.spectral_norms(np.array([np.eye(2), [[0, np.inf], [np.nan, 0]]]))
+    with pytest.raises(ValueError, match=r"^matrix\[2\]\[0\] is not finite$"):
+        linalg.spectral_norm(np.array([[1.0], [2.0], [np.inf]]))
+
+
+def test_strided_input_gives_the_bits_of_its_contiguous_copy():
+    # the power-of-two scaling views complex entries as float pairs,
+    # which needs a contiguous last axis
+    rng = PortableRng(4040)
+    m = rng.complex_normal((3, 5, 4))
+    a = rng.complex_normal((3, 4, 4))
+    h = a + a.conj().transpose(0, 2, 1)
+    for strided in (m.transpose(0, 2, 1), m[:, ::2, :], m[::-1]):
+        assert np.array_equal(linalg.spectral_norms(strided), linalg.spectral_norms(np.ascontiguousarray(strided)))
+    for strided in (m[1].T, m[1][:, ::2]):
+        assert linalg.spectral_norm(strided) == linalg.spectral_norm(np.ascontiguousarray(strided))
+    for strided in (h.transpose(0, 2, 1), h[1].T):
+        assert np.array_equal(linalg.hermitian_eigenvalues(strided),
+                              linalg.hermitian_eigenvalues(np.ascontiguousarray(strided)))
+
+
+def test_pow2_scale_puts_each_slice_at_unit_scale_exactly():
+    stack = PortableRng(4041).complex_normal((3, 2, 5)) * np.array([1e-200, 1.0, 1e200])[:, None, None]
+    for x in (stack, stack[:, 0], stack.transpose(0, 2, 1)):
+        scaled, exps = linalg.pow2_scale(x)
+        parts = scaled.view(np.float64)
+        top = np.abs(parts).reshape(len(x), -1).max(axis=1)
+        assert ((0.5 <= top) & (top < 1.0)).all()
+        exact = np.ldexp(parts, exps.reshape((-1,) + (1,) * (x.ndim - 1)))
+        assert np.array_equal(exact, np.ascontiguousarray(x).view(np.float64))
 
 
 def test_iteration_budget_is_the_module_constant(monkeypatch):
@@ -236,6 +265,12 @@ def test_hermitian_eigenvalues_rejects_bad_stacks():
         linalg.hermitian_eigenvalues(np.zeros((2, 3, 4)))
     with pytest.raises(DimensionMismatch):
         linalg.hermitian_eigenvalues(np.zeros(3))
+    # ragged or non-numeric input is a shape defect, not a numpy error
+    for bad in ([[1.0, 2.0], [3.0]], [np.eye(2), np.eye(3)], [["a"]]):
+        with pytest.raises(DimensionMismatch):
+            linalg.hermitian_eigenvalues(bad)
+        with pytest.raises(DimensionMismatch):
+            linalg.spectral_norms(bad)
     with pytest.raises(NotHermitian):
         linalg.hermitian_eigenvalues(np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
 

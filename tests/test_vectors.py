@@ -40,14 +40,18 @@ def test_norm_and_cross_identities():
 
 
 def test_family_validation():
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ZeroVector, match=r"^vectors\[0\] is the zero vector$"):
         VectorFamily([np.array([0.0, 0.0]), np.array([1.0, 0.0])])
+    with pytest.raises(ZeroVector, match=r"^vectors\[1\] is the zero vector$"):
+        VectorFamily([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DimensionMismatch):
         VectorFamily([])
     with pytest.raises(DimensionMismatch):
         VectorFamily([np.zeros(2) + 1, np.zeros(3) + 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^vectors\[0\]\[0\] is not finite$"):
         VectorFamily([np.array([np.inf, 1.0])])
+    with pytest.raises(ValueError, match=r"^vectors\[1\]\[1\] is not finite$"):
+        VectorFamily([[1.0, 2.0], [3.0, np.nan]])
     for bad in ([[1.0, 2.0], [3.0]], [["a"]], [[object()]], np.ones(3), np.ones((2, 2, 2)), np.ones((2, 0))):
         with pytest.raises(DimensionMismatch):
             VectorFamily(bad)
