@@ -42,7 +42,6 @@ from .harness import (
     generate,
     slack_sweep,
     verify_instance,
-    verify_spec,
     write_slack_csv,
 )
 from .linalg import (
@@ -108,7 +107,6 @@ __all__ = [
     "tightest_report",
     "vector_image_bound",
     "verify_instance",
-    "verify_spec",
     "write_problem",
     "write_slack_csv",
 ]

@@ -93,25 +93,10 @@ def _cross_aggregate(off: np.ndarray, s: float) -> float:
     return float((off**s).sum()) ** (1.0 / s)
 
 
-def _validated_grid(exponent_grid) -> tuple[float, ...]:
-    if exponent_grid is None:
-        return DEFAULT_GRID
-    grid = tuple(float(p) for p in exponent_grid)
-    for p in grid:
-        # between 2^53 and 2^54 the conjugate p / (p - 1) starts to round
-        # to 1, which leaves no Holder pair of finite exponents
-        if not (p > 1.0 and math.isfinite(p) and p / (p - 1.0) > 1.0):
-            raise InvalidExponent(f"grid entries must be finite, > 1 and have a conjugate > 1, got {p}")
-    # the catalog labels an entry by p and q at %g: one label on two
-    # entries would give rows that cannot be told apart
-    if len({f"p={p:g},q={p / (p - 1.0):g}" for p in grid}) < len(grid):
-        raise InvalidExponent(f"grid entries must have distinct labels at %g, got {grid}")
-    return grid
-
-
 @lru_cache(maxsize=16)
 def _catalog_table(grid: tuple[float, ...]):
-    """The exponent pairs and (name, exponents) labels of one grid.
+    """The exponent pairs and (name, exponents) labels of one grid, after
+    the check of its entries and of their labels.
 
     The diagonal choices (max_weight, Holder, max_norm) and the
     off-diagonal ones (max_pair, Holder, max_cross) share one list of
@@ -120,9 +105,17 @@ def _catalog_table(grid: tuple[float, ...]):
     order: the master table row by row, then the named variants; the
     orthogonal labels come separately.
     """
+    for p in grid:
+        # between 2^53 and 2^54 the conjugate p / (p - 1) starts to round
+        # to 1, which leaves no Holder pair of finite exponents
+        if not (p > 1.0 and math.isfinite(p) and p / (p - 1.0) > 1.0):
+            raise InvalidExponent(f"grid entries must be finite, > 1 and have a conjugate > 1, got {p}")
     pairs = [(_INF, 1.0), *((p, p / (p - 1.0)) for p in grid), (1.0, _INF)]
     power_means = [(r, s) for r, s in pairs[1:-1] if r <= 2.0]
     diag = [(MAX_WEIGHT, "")] + [("holder", f"p={p:g},q={q:g}") for p, q in pairs[1:-1]] + [(MAX_NORM, "")]
+    # one label on two entries would give rows that cannot be told apart
+    if len(set(diag)) < len(diag):
+        raise InvalidExponent(f"grid entries must have distinct labels at %g, got {grid}")
     off = [(MAX_PAIR, "")] + [("holder", f"r={r:g},s={s:g}") for r, s in pairs[1:-1]] + [(MAX_CROSS, "")]
     labels = [(f"master:{dn}+{on}", ";".join(e for e in (de, oe) if e)) for dn, de in diag for on, oe in off]
     labels.append(("cross_total", ""))
@@ -151,9 +144,9 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
     D themselves.
     """
     w = as_weights(alpha, fam.count)
-    grid = _validated_grid(exponent_grid)
-    lhs = fam.weighted_sum_norm(w) ** 2
+    grid = DEFAULT_GRID if exponent_grid is None else tuple(float(p) for p in exponent_grid)
     pairs, power_means, labels, orthogonal = _catalog_table(grid)
+    lhs = fam.weighted_sum_norm(w) ** 2
     wa = np.abs(w)
     na = fam.norms
     cross = fam.cross

@@ -150,15 +150,15 @@ def _cmd_verify(args) -> int:
         _, weights, _, family = _load(args)
         if isinstance(family, vectors.VectorFamily):
             family = vectors.rank_one_family(family)
-        result = harness.verify_instance(weights, family, args.tol, exponent_grid=grid)
         origin = {"input": _jstr(args.input)}
     else:
         if args.kind is None or args.dim is None or args.count is None:
             raise SchemaError("verify needs --input, or all of --kind, --dim, --count")
         seed = 0 if args.seed is None else _parse_seed_single(args.seed)
         spec = harness.InstanceSpec(kind=args.kind, dim=args.dim, count=args.count, seed=seed)
-        result = harness.verify_spec(spec, args.tol, exponent_grid=grid)
+        weights, family, _ = harness.generate(spec)
         origin = {"instance": _object(kind=_jstr(spec.kind), dim=spec.dim, count=spec.count, seed=spec.seed)}
+    result = harness.verify_instance(weights, family, args.tol, exponent_grid=grid)
     text = _report(
         **origin, all_hold=_jbool(result.all_hold), worst_violation=_jfloat(result.worst_violation),
         checks=[_object(name=_jstr(chk.name), lhs=_jfloat(chk.lhs), bound=_jfloat(chk.bound),

@@ -100,25 +100,15 @@ def generate(spec: InstanceSpec):
     """Deterministically build (weights, OperatorFamily, VectorFamily or None)."""
     rng = PortableRng(derive_seed(spec.seed, KINDS.index(spec.kind), spec.dim, spec.count))
     n, d = spec.count, spec.dim
-
+    vf = None
     if spec.kind == "GaussianDense":
         ops = rng.complex_normal((n, d, d))
-        weights = rng.complex_normal(n)
-        return weights, OperatorFamily(ops), None
-
-    if spec.kind == "UnitaryScaled":
+    elif spec.kind == "UnitaryScaled":
         base = rng.complex_normal((n, d, d))
-        scalars = rng.complex_normal(n)
-        weights = rng.complex_normal(n)
-        ops = scalars[:, None, None] * _gram_schmidt_stack(base)
-        return weights, OperatorFamily(ops), None
-
-    if spec.kind == "RankOneFromVectors":
+        ops = rng.complex_normal(n)[:, None, None] * _gram_schmidt_stack(base)
+    elif spec.kind == "RankOneFromVectors":
         vf = VectorFamily(rng.complex_normal((n, d)))
-        weights = rng.complex_normal(n)
-        return weights, rank_one_family(vf), vf
-
-    if spec.kind == "BlockOrthogonal":
+    elif spec.kind == "BlockOrthogonal":
         base = d // n
         sizes = [base + 1] * (d % n) + [base] * (n - d % n)
         ops = np.zeros((n, d, d), dtype=np.complex128)
@@ -126,16 +116,13 @@ def generate(spec: InstanceSpec):
         for i, k in enumerate(sizes):
             ops[i, offset : offset + k, offset : offset + k] = rng.complex_normal((k, k))
             offset += k
-        weights = rng.complex_normal(n)
-        return weights, OperatorFamily(ops), None
-
-    # OrthonormalRankOne: distinct basis vectors, unit weights; the
-    # resulting operators are commuting orthogonal projections with
-    # exactly vanishing cross products.
-    picks = rng.permutation(d)[:n]
-    vf = VectorFamily(np.eye(d, dtype=np.complex128)[picks])
-    weights = np.ones(n, dtype=np.complex128)
-    return weights, rank_one_family(vf), vf
+    else:
+        # OrthonormalRankOne: distinct basis vectors, unit weights; the
+        # resulting operators are commuting orthogonal projections with
+        # exactly vanishing cross products.
+        vf = VectorFamily(np.eye(d, dtype=np.complex128)[rng.permutation(d)[:n]])
+    weights = np.ones(n, dtype=np.complex128) if spec.kind == "OrthonormalRankOne" else rng.complex_normal(n)
+    return weights, (OperatorFamily(ops) if vf is None else rank_one_family(vf)), vf
 
 
 class CheckRecord(NamedTuple):
@@ -224,11 +211,6 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = 1e-9, *,
         all_hold=all(c.holds for c in checks),
         worst_violation=worst,
     )
-
-
-def verify_spec(spec: InstanceSpec, tol: float = 1e-9, *, exponent_grid=None) -> VerificationResult:
-    weights, fam, _ = generate(spec)
-    return verify_instance(weights, fam, tol, exponent_grid=exponent_grid)
 
 
 def slack_sweep(specs, exponent_grid=None) -> list[tuple]:

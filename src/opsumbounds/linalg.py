@@ -291,24 +291,18 @@ def _require_hermitian(stack: np.ndarray) -> None:
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
-    """All eigenvalues of (H + H^H)/2, ascending, by round-robin Jacobi.
+    """All eigenvalues of (H + H^H)/2 for each H of a stack of square
+    matrices, ascending, one row per slice, by round-robin Jacobi.
 
-    H is a square matrix, or a stack of them solved together, which
-    gives one row of eigenvalues per slice.  Each slice is divided by a
-    power of two near its largest entry first, so that entries of any
-    representable size give eigenvalues to full relative accuracy.
-    Raises NotHermitian when H deviates from its adjoint by more than
-    DEFAULT_TOL times its largest entry.
+    Each slice is divided by a power of two near its largest entry
+    first, so that entries of any representable size give eigenvalues
+    to full relative accuracy.  Raises NotHermitian when H deviates from
+    its adjoint by more than DEFAULT_TOL times its largest entry.
     """
-    try:
-        single = np.ndim(h) == 2
-    except ValueError:  # ragged input, which finite_array reports
-        single = False
-    stack = finite_array(h, 2, "matrix")[None] if single else finite_array(h, 3, "matrices")
+    stack = finite_array(h, 3, "matrices")
     if stack.shape[1] != stack.shape[2]:
-        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {stack.shape[single:]}")
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {stack.shape}")
     scaled, exps = pow2_scale(stack)
     _require_hermitian(scaled)
     w = 0.5 * (scaled + scaled.conj().transpose(0, 2, 1))
-    eigs = np.ldexp(_jacobi_stack(w), exps[:, None])
-    return eigs[0] if single else eigs
+    return np.ldexp(_jacobi_stack(w), exps[:, None])

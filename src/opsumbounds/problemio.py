@@ -13,8 +13,9 @@ generic serializer so the byte stream is fixed: fixed key order, fixed
 indentation, LF endings, and every float printed as '%.17g' prints it
 (17 significant digits round-trip float64 exactly): by an exact
 vectorized route where %g prints fixed notation (_fixed_text), by
-Python elsewhere.  The rows are streamed: write_problem writes each
-row as it is formatted, and emit_problem joins the same pieces.
+Python elsewhere.  Every array is written in blocks of _BLOCK floats,
+whatever its shape: write_problem writes each block as it is formatted,
+and emit_problem joins the same pieces.
 """
 
 from __future__ import annotations
@@ -27,19 +28,16 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ZeroVector, finite_array
+from .errors import DimensionMismatch, ParseError, SchemaError, ZeroVector, finite_array
 
 SCHEMA_VERSION = "1"
 
 _TOP_KEYS = {"schema_version", "dim", "weights", "operators", "vectors"}
 
 
-_FLOAT_FORMAT = "%.17g"
-
-
 def format_float(x: float) -> str:
     """Fixed 17-significant-digit decimal form."""
-    return _FLOAT_FORMAT % x
+    return "%.17g" % x
 
 
 @dataclass
@@ -169,27 +167,25 @@ def _check_problem(pf: ProblemFile) -> tuple[Optional[np.ndarray], str, np.ndarr
     complex arrays, after every check of a problem: the one validator of
     loads_problem, emit_problem and write_problem."""
     key, inner = _check_header(pf.schema_version, pf.dim, pf.operators is not None, pf.vectors is not None)
-    stack = np.asarray(getattr(pf, key), dtype=np.complex128)
-    if stack.shape[1:] != inner or stack.shape[0] == 0:
-        raise SchemaError(f"{key} must be a nonempty stack of shape (n, {', '.join(map(str, inner))}), "
-                          f"got {stack.shape}")
-    stack = finite_array(stack, stack.ndim, key)
-    if key == "vectors":
-        zero = np.flatnonzero(~(stack != 0).any(axis=1))
-        if zero.size:
-            raise ZeroVector(f"vectors[{zero[0]}] is the zero vector")
-    weights = None
-    if pf.weights is not None:
-        weights = np.asarray(pf.weights, dtype=np.complex128)
-        if weights.shape != stack.shape[:1]:
-            raise SchemaError(f"weights must have {stack.shape[0]} entries, got shape {weights.shape}")
-        weights = finite_array(weights, 1, "weights")
-    elif key == "operators":
+    try:  # a ragged, non-numeric, empty or wrong-rank array is a schema defect here
+        stack = finite_array(getattr(pf, key), len(inner) + 1, key)
+        if stack.shape[1:] != inner:
+            raise SchemaError(f"{key} must be a stack of shape (n, {', '.join(map(str, inner))}), got {stack.shape}")
+        if key == "vectors":
+            zero = np.flatnonzero(~(stack != 0).any(axis=1))
+            if zero.size:
+                raise ZeroVector(f"vectors[{zero[0]}] is the zero vector")
+        weights = None if pf.weights is None else finite_array(pf.weights, 1, "weights")
+    except DimensionMismatch as exc:
+        raise SchemaError(str(exc)) from None
+    if weights is not None and weights.shape != stack.shape[:1]:
+        raise SchemaError(f"weights must have {stack.shape[0]} entries, got shape {weights.shape}")
+    if weights is None and key == "operators":
         raise SchemaError("weights are required in operators mode")
     return weights, key, stack
 
 
-_BLOCK = 2048  # floats formatted at once, or one row when a row is longer
+_BLOCK = 2048  # floats formatted and written at once, whatever the shape
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for float64
 _SCALE = np.cumprod(np.full(21, 10.0)) / 10.0  # 10^j, j = 0..20, exact
 _SCALE_HI = _SPLIT * _SCALE - (_SPLIT * _SCALE - _SCALE)  # its Veltkamp halves
@@ -253,47 +249,51 @@ def _fixed_text(x: np.ndarray) -> np.ndarray:
     return words.view("S40").ravel()
 
 
-def _rows(arr: np.ndarray) -> Iterator[str]:
-    """One JSON row of [re, im] pairs per run of arr's last axis (arr
-    C-ordered, as _check_problem returns it), built a block at a time: _fixed_text's texts and, elsewhere, '%.17g' texts
-    space-padded to 24 bytes by one format call; NULs and spaces, which
-    no printed float holds, are dropped from each row."""
-    width = 2 * arr.shape[-1]
-    texts_row = ("[" + ",".join(["[%s,%s]"] * (width // 2)) + "]").encode()
-    flat = arr.view(np.float64).reshape(-1, width)
-    step = max(1, _BLOCK // width)
-    for start in range(0, len(flat), step):
-        block = flat[start:start + step]
-        size = np.abs(block)
-        fast = ((size >= 1e-4) & (size < 1e17)).ravel()
-        x, texts = block.ravel(), np.zeros(fast.size, dtype="S40")
-        texts[fast] = _fixed_text(x[fast])
-        slow = x[~fast].tolist()
-        texts[~fast] = np.frombuffer(b"%-24.17g" * len(slow) % tuple(slow), dtype="S24")  # 24 >= len('%.17g' % v)
-        texts = texts.tolist()
-        for r in range(0, len(texts), width):
-            yield (texts_row % tuple(texts[r:r + width])).translate(None, b"\0 ").decode("ascii")
+# Per array kind: the lead of a real part at pair k, by (k % row == 0) +
+# (k % member == 0) + (k == 0) for a new pair, row, member or array, and
+# the text after the last float; \x01 stands in for an indenting space.
+_LEADS = {kind: (np.array(leads, dtype="S12"), close) for kind, leads, close in [
+    ("weights", [b"],[", b"", b"", b"[["], "]],\n"),
+    ("vectors", [b"],[", b"", b"]],\n\1\1\1\1[[", b"\1\1\1\1[["], "]]\n  ]\n}\n"),
+    ("operators", [b"],[", b"]],[[", b"]]],\n\1\1\1\1[[[", b"\1\1\1\1[[["], "]]]\n  ]\n}\n")]}
+_SPACE = bytes.maketrans(b"\1", b" ")
+
+
+def _blocks(arr: np.ndarray, kind: str) -> Iterator[str]:
+    """The JSON text of arr (C-ordered, as _check_problem returns it) in
+    pieces of _BLOCK floats, then the text closing it.  Each float is
+    written after its lead (_LEADS, or ',' for an imaginary part):
+    _fixed_text's text and, elsewhere, the '%.17g' text space-padded to
+    24 bytes by one format call.  One translate per piece drops the
+    NULs and spaces, which no printed float holds."""
+    leads, close = _LEADS[kind]
+    row, member = arr.shape[-1], arr[0].size
+    flat = arr.view(np.float64).ravel()
+    piece = np.empty(min(_BLOCK, flat.size), dtype=[("lead", "S12"), ("text", "S40")])
+    piece["lead"][1::2] = b","
+    for start in range(0, flat.size, _BLOCK):
+        x = flat[start:start + _BLOCK]
+        out = piece[:x.size]
+        k = np.arange(start // 2, start // 2 + x.size // 2)
+        out["lead"][::2] = leads.take((k % row == 0) * 1 + (k % member == 0) + (k == 0))
+        size = np.abs(x)
+        fast = (size >= 1e-4) & (size < 1e17)
+        out["text"][fast] = _fixed_text(x[fast])
+        slow = x[~fast].tolist()  # 24 >= len('%.17g' % v)
+        out["text"][~fast] = np.frombuffer(b"%-24.17g" * len(slow) % tuple(slow), dtype="S24")
+        yield out.tobytes().translate(_SPACE, b"\0 ").decode("ascii")
+    yield close
 
 
 def _chunks(weights: Optional[np.ndarray], key: str, stack: np.ndarray) -> Iterator[str]:
-    """The problem's text in pieces: the header with the weights, then one
-    row per piece, then the closing brackets.  An operator is one line of
-    d rows, [row,...,row]; a vector is one line of one row."""
-    d = stack.shape[-1]
-    head = f'{{\n  "schema_version": "{SCHEMA_VERSION}",\n  "dim": {d},\n'
+    """The problem's text in pieces: the header, the weights' blocks, the
+    stack's key, then the stack's blocks and the closing brackets."""
+    yield f'{{\n  "schema_version": "{SCHEMA_VERSION}",\n  "dim": {stack.shape[-1]},\n'
     if weights is not None:
-        head += '  "weights": ' + next(_rows(weights)) + ",\n"
-    yield head + f'  "{key}": [\n'
-    per_line, lo, hi = (d, "[", "]") if key == "operators" else (1, "", "")
-    for k, row in enumerate(_rows(stack)):
-        if k == 0:
-            sep = "    " + lo
-        elif k % per_line:
-            sep = ","
-        else:
-            sep = hi + ",\n    " + lo
-        yield sep + row
-    yield hi + "\n  ]\n}\n"
+        yield '  "weights": '
+        yield from _blocks(weights[None], "weights")
+    yield f'  "{key}": [\n'
+    yield from _blocks(stack, key)
 
 
 def emit_problem(pf: ProblemFile) -> str:
@@ -302,7 +302,7 @@ def emit_problem(pf: ProblemFile) -> str:
 
 
 def write_problem(pf: ProblemFile, path) -> None:
-    """Write emit_problem's text, streamed row by row.  The problem is
+    """Write emit_problem's text, streamed a block at a time.  The problem is
     checked before the file is opened, so bad data leaves no file."""
     parts = _check_problem(pf)
     with open(path, "w", encoding="utf-8", newline="") as fh:

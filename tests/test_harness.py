@@ -17,7 +17,6 @@ from opsumbounds.harness import (
     generate,
     slack_sweep,
     verify_instance,
-    verify_spec,
     write_slack_csv,
 )
 from opsumbounds.rng import PortableRng, derive_seed
@@ -149,7 +148,7 @@ def test_spec_validation():
 
 
 def test_verify_instance_holds_and_names():
-    res = verify_spec(InstanceSpec("GaussianDense", 4, 3, 11))
+    res = verify_instance(*generate(InstanceSpec("GaussianDense", 4, 3, 11))[:2])
     assert res.all_hold
     assert res.worst_violation == 0.0
     names = [c.name for c in res.checks]
@@ -163,7 +162,7 @@ def test_verify_instance_holds_and_names():
 
 
 def test_verify_orthonormal_has_extra_checks():
-    res = verify_spec(InstanceSpec("OrthonormalRankOne", 4, 4, 3))
+    res = verify_instance(*generate(InstanceSpec("OrthonormalRankOne", 4, 4, 3))[:2])
     assert res.all_hold
     names = [c.name for c in res.checks]
     assert sum(n.startswith("orthogonal:") for n in names) == 7
@@ -171,7 +170,7 @@ def test_verify_orthonormal_has_extra_checks():
 
 
 def test_verify_single_operator_slack_is_unit():
-    res = verify_spec(InstanceSpec("GaussianDense", 4, 1, 23))
+    res = verify_instance(*generate(InstanceSpec("GaussianDense", 4, 1, 23))[:2])
     assert res.all_hold
     skip = ("psd_gap", "psd_gap_inner", "image_probe", "bilinear_probe")
     for c in res.checks:

@@ -60,7 +60,7 @@ def test_no_module_uses_a_sibling_private_name():
 
 # each function and the parameters it does not take: the values are
 # DEFAULT_TOL, DEFAULT_MAX_ITER, _MAX_SWEEPS, PSD_TOL, ORTHOGONAL_TOL, the
-# harness's fixed probe salt, and the spec that verify_spec's caller holds
+# harness's fixed probe salt, and the spec that generate's caller holds
 FIXED_KNOBS = [
     (linalg.spectral_norm, {"tol", "max_iter"}),
     (linalg.spectral_norms, {"tol", "max_iter"}),
@@ -111,6 +111,8 @@ def test_one_catalog_entry_point():
     gone = {"catalog_from_norm_data", "gram_catalog_reports", "verify_identities"}
     assert not gone & set(opsumbounds.__all__)
     assert not any(hasattr(module, name) for module in (opsumbounds, bounds, vectors) for name in gone)
+    # and one verifier: a spec goes through generate, then verify_instance
+    assert not hasattr(harness, "verify_spec") and "verify_spec" not in opsumbounds.__all__
     assert not hasattr(vectors.VectorFamily, "gram")
     assert not hasattr(vectors.VectorFamily, "weighted_sum_norm_sq")
     assert list(inspect.signature(bounds.catalog_reports).parameters) == ["alpha", "fam", "exponent_grid"]

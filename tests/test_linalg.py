@@ -131,7 +131,7 @@ def test_norm_routes_are_scale_safe(k):
     a = rng.complex_normal((5, 5))
     h = (a + a.conj().T) * 10.0**k
     ref = np.linalg.eigvalsh(h)
-    eigs = linalg.hermitian_eigenvalues(h)
+    eigs = linalg.hermitian_eigenvalues(h[None])[0]
     assert np.abs(eigs - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -159,7 +159,7 @@ def test_strided_input_gives_the_bits_of_its_contiguous_copy():
         assert np.array_equal(linalg.spectral_norms(strided), linalg.spectral_norms(np.ascontiguousarray(strided)))
     for strided in (m[1].T, m[1][:, ::2]):
         assert linalg.spectral_norm(strided) == linalg.spectral_norm(np.ascontiguousarray(strided))
-    for strided in (h.transpose(0, 2, 1), h[1].T):
+    for strided in (h.transpose(0, 2, 1), h[1].T[None]):
         assert np.array_equal(linalg.hermitian_eigenvalues(strided),
                               linalg.hermitian_eigenvalues(np.ascontiguousarray(strided)))
 
@@ -189,7 +189,7 @@ def test_iteration_budget_is_the_module_constant(monkeypatch):
 def test_hermitian_eigenvalues_frozen():
     m = PortableRng(99).complex_normal((4, 4))
     h = (m + m.conj().T) / 2
-    got = linalg.hermitian_eigenvalues(h)
+    got = linalg.hermitian_eigenvalues(h[None])[0]
     assert np.allclose(got, H44_EIGS, rtol=0, atol=1e-10)
 
 
@@ -200,7 +200,7 @@ def test_hermitian_eigenvalues_matches_numpy_ensemble():
         a = rng.complex_normal((d, d))
         h = (a + a.conj().T) / 2
         ref = np.linalg.eigvalsh(h)
-        got = linalg.hermitian_eigenvalues(h)
+        got = linalg.hermitian_eigenvalues(h[None])[0]
         scale = max(1.0, float(np.abs(ref).max()))
         assert np.abs(got - ref).max() <= 1e-10 * scale, trial
 
@@ -211,13 +211,13 @@ def test_jacobi_route_agrees_with_power_route():
         d = 2 + trial % 15
         m = rng.complex_normal((d, d))
         b = m.conj().T @ m
-        top = float(linalg.hermitian_eigenvalues(b)[-1])
+        top = float(linalg.hermitian_eigenvalues(b[None])[0, -1])
         assert linalg.spectral_norm(m).value == pytest.approx(np.sqrt(top), rel=1e-10)
 
 
 def test_not_hermitian_rejected():
     with pytest.raises(NotHermitian):
-        linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        linalg.hermitian_eigenvalues(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
 
 
 def _assert_slices_match_eigvalsh(stack, got):
@@ -255,16 +255,19 @@ def test_jacobi_stack_odd_and_even_sizes(d):
     a = PortableRng(3300 + d).complex_normal((4, d, d))
     stack = a + a.conj().transpose(0, 2, 1)
     _assert_slices_match_eigvalsh(stack, linalg.hermitian_eigenvalues(stack))
-    single = linalg.hermitian_eigenvalues(stack[2])
+    single = linalg.hermitian_eigenvalues(stack[2][None])[0]
     assert single.shape == (d,)
     assert np.abs(single - np.linalg.eigvalsh(stack[2])).max() <= 1e-10 * np.abs(stack[2]).max()
 
 
 def test_hermitian_eigenvalues_rejects_bad_stacks():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^expected a stack of square matrices, got shape \(2, 3, 4\)$"):
         linalg.hermitian_eigenvalues(np.zeros((2, 3, 4)))
     with pytest.raises(DimensionMismatch):
         linalg.hermitian_eigenvalues(np.zeros(3))
+    # a single matrix is a one-slice stack, h[None]
+    with pytest.raises(DimensionMismatch, match=r"^expected matrices as a nonempty 3-d array, got shape \(2, 2\)$"):
+        linalg.hermitian_eigenvalues(np.eye(2))
     # ragged or non-numeric input is a shape defect, not a numpy error
     for bad in ([[1.0, 2.0], [3.0]], [np.eye(2), np.eye(3)], [["a"]]):
         with pytest.raises(DimensionMismatch):

@@ -295,9 +295,11 @@ def test_written_bytes_match_the_whole_text_emitter(tmp_path, name, pf):
     assert emit_problem(pf) == expected
 
 
-def test_write_problem_streams_rows(tmp_path):
-    # the whole text of this file is 2.6 MB; the writer holds one row of it
-    pf = ProblemFile("1", 1024, None, None, PortableRng(5).complex_normal((60, 1024)))
+@pytest.mark.parametrize("d", [1024, 4096, 16384])
+def test_write_problem_streams_rows(tmp_path, d):
+    # the whole text of the d=1024 file is 2.6 MB; the writer holds one
+    # block of it, however long a row is
+    pf = ProblemFile("1", d, None, None, PortableRng(5).complex_normal((60 if d == 1024 else 20, d)))
     tracemalloc.start()
     try:
         write_problem(pf, tmp_path / "vectors.json")
@@ -363,6 +365,21 @@ def test_loader_raises_what_the_writer_raises(tmp_path, case):
     assert loaded.type is written.type
 
 
+@pytest.mark.parametrize(
+    "weights, vecs, where",
+    [(None, [[1.0, 2.0], [3.0]], "vectors"), ([1.0, "a"], [[1.0, 0.0], [0.0, 1.0]], "weights")],
+    ids=["ragged_vectors", "string_weight"],
+)
+def test_writers_name_an_array_they_cannot_read(tmp_path, weights, vecs, where):
+    pf = ProblemFile("1", 2, weights, None, vecs)
+    path = tmp_path / "problem.json"
+    with pytest.raises(SchemaError, match=f"cannot read {where} as one array of numbers"):
+        write_problem(pf, path)
+    assert not path.exists()
+    with pytest.raises(SchemaError, match=f"cannot read {where} as one array of numbers"):
+        emit_problem(pf)
+
+
 class _Reached(Exception):
     pass
 
@@ -421,8 +438,8 @@ def test_rows_print_every_float_as_percent_17g():
     by_route = np.concatenate([half[fast[half]], half[~fast[half]]])
     for index, d in ((by_route, 64), (rest, 1500)):
         flat = values[index[:index.size // (2 * d) * 2 * d]]
-        rows = flat.view(np.complex128).reshape(-1, d)
-        got, want = list(problemio._rows(rows)), _whole_text_rows(rows)
+        pf = ProblemFile("1", d, None, None, flat.view(np.complex128).reshape(-1, d))
+        got, want = emit_problem(pf).splitlines(), _whole_text_emit(pf).splitlines()
         assert len(got) == len(want)
         bad = [k for k, (g, w) in enumerate(zip(got, want)) if g != w]
-        assert not bad, f"{len(bad)} rows differ, the first at row {bad[0]} of d={d}"
+        assert not bad, f"{len(bad)} lines differ, the first at line {bad[0]} of d={d}"
