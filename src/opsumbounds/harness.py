@@ -172,44 +172,30 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = 1e-9, *,
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     w = as_weights(alpha, fam.count)
-    checks: list[CheckRecord] = []
-
     # the catalog checks the grid before anything is solved; its left side
     # is the CBS norm check's too, so the assembled-sum norm is computed once
     reports = bounds.catalog_reports(w, fam, exponent_grid)
     gap = cbs_operator_gap(w, fam)
-    checks.append(CheckRecord("psd_gap", -gap.min_eigenvalue, gap.limit,
-                              gap.holds, bounds.slack_ratio(max(-gap.min_eigenvalue, 0.0), gap.limit)))
-    checks.append(CheckRecord("psd_gap_inner", -gap.inner_min_eigenvalue, gap.inner_limit, gap.inner_holds,
-                              bounds.slack_ratio(max(-gap.inner_min_eigenvalue, 0.0), gap.inner_limit)))
-
     lhs = reports[0].lhs_sq
     rhs = float((np.abs(w) ** 2).sum()) * fam.sum_products_norm
-    checks.append(CheckRecord("cbs_norm", lhs, rhs, lhs <= rhs * (1.0 + 1e-9),
-                              bounds.slack_ratio(lhs, rhs)))
-
-    for rep in reports:
-        holds = rep.lhs_sq <= rep.bound * (1.0 + tol)
-        checks.append(CheckRecord(_check_name(rep), rep.lhs_sq, rep.bound, holds, rep.slack_ratio))
-
     m = bounds.tightest_report(reports).bound
-
     probes = _probes(fam.dim, fam.count)
-    for k, x in enumerate(probes):
-        plhs, prhs, pok = bounds.vector_image_bound(w, fam, x, m)
-        checks.append(CheckRecord(f"image_probe_{k}", plhs, prhs, pok, bounds.slack_ratio(plhs, prhs)))
-    for k, x in enumerate(probes):
-        y = probes[(k + 1) % len(probes)]
-        blhs, brhs, bok = bounds.bilinear_bound(w, fam, x, y, m)
-        checks.append(CheckRecord(f"bilinear_probe_{k}", blhs, brhs, bok, bounds.slack_ratio(blhs, brhs)))
 
-    worst = 0.0
-    for c in checks:
-        worst = max(worst, _violation(c.lhs, c.bound))
+    # one (name, lhs, bound, holds) row per check, in report order
+    rows = [("psd_gap", -gap.min_eigenvalue, gap.limit, gap.holds),
+            ("psd_gap_inner", -gap.inner_min_eigenvalue, gap.inner_limit, gap.inner_holds),
+            ("cbs_norm", lhs, rhs, lhs <= rhs * (1.0 + 1e-9))]
+    rows += [(_check_name(rep), rep.lhs_sq, rep.bound, rep.lhs_sq <= rep.bound * (1.0 + tol)) for rep in reports]
+    rows += [(f"image_probe_{k}", *bounds.vector_image_bound(w, fam, x, m)) for k, x in enumerate(probes)]
+    rows += [(f"bilinear_probe_{k}", *bounds.bilinear_bound(w, fam, x, probes[(k + 1) % len(probes)], m))
+             for k, x in enumerate(probes)]
+    # a PSD gap's lhs is a negated eigenvalue, which may be negative
+    checks = [CheckRecord(name, lhs, bound, holds, bounds.slack_ratio(max(lhs, 0.0), bound))
+              for name, lhs, bound, holds in rows]
     return VerificationResult(
         checks=checks,
         all_hold=all(c.holds for c in checks),
-        worst_violation=worst,
+        worst_violation=max([0.0] + [_violation(c.lhs, c.bound) for c in checks]),
     )
 
 

@@ -124,6 +124,8 @@ def loads_problem(text: str) -> ProblemFile:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     extra = set(doc) - _TOP_KEYS

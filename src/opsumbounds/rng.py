@@ -110,30 +110,21 @@ class PortableRng:
         i = self._take(_size(n))
         return self._uniforms[i : i + n].copy()
 
-    def _box_muller(self, out: np.ndarray) -> None:
-        # Fill the flat float array ``out``: each pair of normals takes
-        # its radius from the first half of the draw's uniforms and its
-        # angle from the second half.
-        n = out.size
-        pairs = (n + 1) // 2
+    def complex_normal(self, shape) -> np.ndarray:
+        """Complex draws with standard normal real and imaginary parts,
+        via Box-Muller: each pair of normals takes its radius from the
+        first half of the draw's uniforms and its angle from the second
+        half, and the first half of the normals are the real parts."""
+        parts = np.empty((2,) + _shape(shape))
+        out = parts.reshape(-1)
+        pairs = out.size // 2
         i = self._take(2 * pairs)
         u = self._uniforms[i : i + 2 * pairs]
         # 1 - u lies in (0, 1], so the log is finite.
         radius = np.sqrt(-2.0 * np.log1p(-u[:pairs]))
         angle = 2.0 * np.pi * u[pairs:]
         out[0::2] = radius * np.cos(angle)
-        out[1::2] = (radius * np.sin(angle))[: n // 2]
-
-    def standard_normal(self, shape) -> np.ndarray:
-        """Standard normal draws in the given shape, via Box-Muller."""
-        out = np.empty(_shape(shape))
-        self._box_muller(out.reshape(-1))
-        return out
-
-    def complex_normal(self, shape) -> np.ndarray:
-        """Complex draws with standard normal real and imaginary parts."""
-        parts = np.empty((2,) + _shape(shape))
-        self._box_muller(parts.reshape(-1))
+        out[1::2] = radius * np.sin(angle)
         return parts[0] + 1j * parts[1]
 
     def permutation(self, n: int) -> np.ndarray:

@@ -13,9 +13,10 @@ S = Z D Z^H.  The thin QR factorization Z = QR, with orthonormal columns
 in Q, gives S = Q (R D R^H) Q^H, so ||S|| = ||R D R^H||, a norm problem
 of size min(d, n).  It holds for any F with F^H F = Gbar, the conjugated
 Gram matrix; R is such an F taken from the vectors themselves, so no
-entry is ever squared.  The norms ||y_i|| are summed after scaling each
-vector by a power of two, so the left side keeps full relative accuracy
-whenever it and the norms are representable.
+entry is ever squared.  The norms ||y_i||, and R, are computed after
+scaling each vector by a power of two, so the left side keeps full
+relative accuracy whenever it and the norms are representable, subnormal
+entries included.
 """
 
 from __future__ import annotations
@@ -54,7 +55,10 @@ class VectorFamily:
 
     @cached_property
     def _unit_r_factor(self) -> np.ndarray:
-        return np.linalg.qr(self.vectors.T, mode="r") / self.norms
+        # R of the power-of-two-scaled vectors over their own norms: a
+        # subnormal norm has no finite reciprocal
+        unit, _ = linalg.pow2_scale(self.vectors)
+        return np.linalg.qr(unit.T, mode="r") / np.sqrt((np.abs(unit) ** 2).sum(axis=1))
 
     def weighted_sum_norm(self, alpha) -> float:
         """||sum alpha_i A_i|| as ||R D R^H||, with R the R factor of

@@ -128,6 +128,19 @@ def test_bad_inputs_exit_2(ops_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("depth", [990, 100000])
+def test_deeply_nested_files_exit_2(tmp_path, capsys, depth):
+    # json.loads runs out of recursion depth well before 100000 levels
+    path = tmp_path / "deep.json"
+    path.write_text('{"schema_version": "1", "dim": 2, "vectors": %s}' % ("[" * depth + "]" * depth),
+                    encoding="utf-8")
+    assert main(["bound", "--input", str(path)]) == 2
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    assert main(["bound", "--input", str(path)]) == 2
+    assert main(["verify", "--input", str(path)]) == 2
+    capsys.readouterr()
+
+
 def test_verify_rejects_a_tol_that_is_not_finite(ops_file, capsys):
     # 1e400 parses to inf; an infinite tol turns 0 * tol into nan
     for tol in ("inf", "1e400"):

@@ -1,10 +1,11 @@
 import csv
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from opsumbounds.bounds import catalog_reports, tightest_report
+from opsumbounds.bounds import catalog_reports, slack_ratio, tightest_report
 from opsumbounds.errors import InvalidSpec
 from opsumbounds.harness import (
     CSV_HEADER,
@@ -177,6 +178,26 @@ def test_verify_single_operator_slack_is_unit():
         if c.name.startswith(skip):
             continue
         assert c.slack_ratio == pytest.approx(1.0, rel=1e-9), c.name
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-60, 1e60, 1e150])
+def test_verify_records_share_one_slack_rule_and_one_worst_max(scale):
+    # at 1e60 and 1e150 the catalog's unscaled powers overflow, which puts
+    # inf and nan entries into it: both rules are checked on those too
+    w, fam, _ = generate(InstanceSpec("GaussianDense", 12, 4, 3))
+    with np.errstate(over="ignore"):
+        res = verify_instance(w * scale, fam)
+    worst = 0.0
+    for c in res.checks:
+        want = slack_ratio(max(c.lhs, 0.0), c.bound)
+        assert np.array_equal(c.slack_ratio, want, equal_nan=True), c
+        if c.bound > 0.0:
+            violation = max(c.lhs / c.bound - 1.0, 0.0)
+        else:
+            violation = 0.0 if c.lhs <= 0.0 else math.inf
+        worst = max(worst, violation)
+    assert np.array_equal(res.worst_violation, worst, equal_nan=True)
+    assert res.all_hold == all(c.holds for c in res.checks)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("inf"), float("nan")])

@@ -3,6 +3,7 @@ import pytest
 
 from opsumbounds.bounds import catalog_reports
 from opsumbounds.errors import DimensionMismatch, ZeroVector
+from opsumbounds.problemio import loads_problem
 from opsumbounds.rng import PortableRng
 from opsumbounds.vectors import VectorFamily, bessel_weighting, rank_one_family
 
@@ -208,3 +209,20 @@ def test_gram_lhs_is_scale_safe(k):
         expected = _materialized_norm_sq(w, y) * 10.0 ** (2 * (k + wk))
         got = vf.weighted_sum_norm(np.asarray(w) * 10.0**wk) ** 2
         assert abs(got - expected) <= 1e-10 * expected, y.shape
+
+
+@pytest.mark.parametrize("tiny", ["1e-310", "5e-324"])
+def test_gram_route_takes_subnormal_entries(tiny):
+    # a vector whose norm is subnormal: 1 / ||y|| overflows, so the R
+    # factor must come from the power-of-two-scaled vectors
+    def load(rows):
+        text = '{"schema_version": "1", "dim": 2, "vectors": [%s]}' % rows
+        return VectorFamily(loads_problem(text).vectors)
+
+    alone = load(f"[[{tiny}, 0], [0, 0]]")
+    assert alone.weighted_sum_norm([1.0]) == float(tiny)
+    for vf, lhs in ((alone, 0.0), (load(f"[[{tiny}, 0], [0, 0]], [[0.6, 0.1], [0.3, -0.2]]"), 0.25)):
+        reps = catalog_reports(bessel_weighting(vf), vf)
+        assert reps[0].lhs_sq == pytest.approx(lhs, rel=1e-12, abs=0.0)
+        for rep in reps:
+            assert np.isfinite(rep.bound) and rep.bound >= rep.lhs_sq * (1.0 - 1e-12), rep
