@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import bounds, harness, problemio, vectors
@@ -29,21 +28,22 @@ from .errors import NoConvergence, SchemaError
 from .problemio import format_float
 
 
-def _jfloat(x: float) -> str:
-    # json.loads accepts Infinity/NaN, %.17g's "inf" it does not.
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    if math.isnan(x):
-        return "NaN"
-    return format_float(float(x))
-
-
-def _jbool(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
-def _jstr(s: str) -> str:
-    return json.dumps(str(s))
+def _json(value) -> str:
+    """A report value as JSON text, by its type: a dict as a one-line
+    object, a float at 17 significant digits."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f'"{key}": {_json(item)}' for key, item in value.items()) + "}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        # json.loads accepts Infinity/NaN, %.17g's "inf" it does not.
+        text = format_float(value)
+        return {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get(text, text)
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"no report encoding for {type(value).__name__}")
 
 
 def _parse_grid(text):
@@ -92,19 +92,16 @@ def _write_text(text: str, path) -> None:
             fh.write(text)
 
 
-def _object(**fields) -> str:
-    """A one-line JSON object of already encoded values."""
-    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
-
-
 def _report(**fields) -> str:
     """A report's text: one field per line at two-space indent, a list
-    field with one encoded item per line."""
+    field with one item per line."""
     lines = []
     for key, value in fields.items():
         if isinstance(value, list):
-            value = "[\n" + ",\n".join("    " + item for item in value) + "\n  ]"
-        lines.append(f'  "{key}": {value}')
+            text = "[\n" + ",\n".join("    " + _json(item) for item in value) + "\n  ]"
+        else:
+            text = _json(value)
+        lines.append(f'  "{key}": {text}')
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
@@ -132,11 +129,10 @@ def _cmd_bound(args) -> int:
     # bounds are the coefficients of ||x||^2.
     lhs_key = "lhs_sq" if pf.mode == "operators" else "lhs_sq_per_unit_probe"
     text = _report(
-        mode=_jstr(pf.mode), dim=pf.dim, count=pf.count, weights=_jstr(label),
-        **{lhs_key: _jfloat(reports[0].lhs_sq)},
-        bounds=[_object(name=_jstr(rep.name), exponents=_jstr(rep.exponents), value=_jfloat(rep.bound),
-                        slack_ratio=_jfloat(rep.slack_ratio)) for rep in reports],
-        tightest=_object(name=_jstr(best.name), exponents=_jstr(best.exponents), value=_jfloat(best.bound)))
+        mode=pf.mode, dim=pf.dim, count=pf.count, weights=label, **{lhs_key: reports[0].lhs_sq},
+        bounds=[dict(name=rep.name, exponents=rep.exponents, value=rep.bound, slack_ratio=rep.slack_ratio)
+                for rep in reports],
+        tightest=dict(name=best.name, exponents=best.exponents, value=best.bound))
     _write_text(text, args.out)
     return 0
 
@@ -150,20 +146,17 @@ def _cmd_verify(args) -> int:
         _, weights, _, family = _load(args)
         if isinstance(family, vectors.VectorFamily):
             family = vectors.rank_one_family(family)
-        origin = {"input": _jstr(args.input)}
+        origin = {"input": args.input}
     else:
         if args.kind is None or args.dim is None or args.count is None:
             raise SchemaError("verify needs --input, or all of --kind, --dim, --count")
         seed = 0 if args.seed is None else _parse_seed_single(args.seed)
         spec = harness.InstanceSpec(kind=args.kind, dim=args.dim, count=args.count, seed=seed)
         weights, family, _ = harness.generate(spec)
-        origin = {"instance": _object(kind=_jstr(spec.kind), dim=spec.dim, count=spec.count, seed=spec.seed)}
+        origin = {"instance": dict(kind=spec.kind, dim=spec.dim, count=spec.count, seed=spec.seed)}
     result = harness.verify_instance(weights, family, args.tol, exponent_grid=grid)
-    text = _report(
-        **origin, all_hold=_jbool(result.all_hold), worst_violation=_jfloat(result.worst_violation),
-        checks=[_object(name=_jstr(chk.name), lhs=_jfloat(chk.lhs), bound=_jfloat(chk.bound),
-                        holds=_jbool(chk.holds), slack_ratio=_jfloat(chk.slack_ratio))
-                for chk in result.checks])
+    text = _report(**origin, all_hold=result.all_hold, worst_violation=result.worst_violation,
+                   checks=[chk._asdict() for chk in result.checks])
     _write_text(text, args.out)
     return 0 if result.all_hold else 1
 

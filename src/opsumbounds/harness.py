@@ -220,6 +220,4 @@ def write_slack_csv(rows, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for seed, kind, dim, count, name, exponents, lhs, bound, slack in rows:
-            writer.writerow((seed, kind, dim, count, name, exponents,
-                             format_float(lhs), format_float(bound), format_float(slack)))
+        writer.writerows([format_float(v) if isinstance(v, float) else v for v in row] for row in rows)

@@ -38,8 +38,9 @@ class VectorFamily:
         stack = finite_array(vectors, 2, "vectors")
         # each vector is divided by a power of two near its largest part
         # first, so the squares can neither overflow nor underflow
-        unit, exps = linalg.pow2_scale(stack)
-        norms = np.ldexp(np.sqrt((np.abs(unit) ** 2).sum(axis=1)), exps)
+        unit, self._exps = linalg.pow2_scale(stack)
+        self._unit_norms = np.sqrt((np.abs(unit) ** 2).sum(axis=1))
+        norms = np.ldexp(self._unit_norms, self._exps)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise ZeroVector(f"vectors[{zero[0]}] is the zero vector")
@@ -47,6 +48,10 @@ class VectorFamily:
         self.count = int(stack.shape[0])
         self.dim = int(stack.shape[1])
         self.norms = norms
+
+    def _unit(self) -> np.ndarray:
+        # each vector over 2^e, the power of two that pow2_scale chose
+        return np.ldexp(self.vectors.view(np.float64), -self._exps[:, None]).view(np.complex128)
 
     @cached_property
     def cross(self) -> np.ndarray:
@@ -57,8 +62,7 @@ class VectorFamily:
     def _unit_r_factor(self) -> np.ndarray:
         # R of the power-of-two-scaled vectors over their own norms: a
         # subnormal norm has no finite reciprocal
-        unit, _ = linalg.pow2_scale(self.vectors)
-        return np.linalg.qr(unit.T, mode="r") / np.sqrt((np.abs(unit) ** 2).sum(axis=1))
+        return np.linalg.qr(self._unit().T, mode="r") / self._unit_norms
 
     def weighted_sum_norm(self, alpha) -> float:
         """||sum alpha_i A_i|| as ||R D R^H||, with R the R factor of
@@ -74,9 +78,12 @@ class VectorFamily:
 
 
 def rank_one_family(vf: VectorFamily) -> OperatorFamily:
-    """Materialize A_i = y_i y_i^H / ||y_i|| as explicit matrices."""
-    ops = np.einsum("ia,ib->iab", vf.vectors, vf.vectors.conj()) / vf.norms[:, None, None]
-    return OperatorFamily(ops)
+    """Materialize A_i = y_i y_i^H / ||y_i|| as explicit matrices, as
+    2^e u_i u_i^H / ||u_i|| with y_i = 2^e u_i: a tiny y_i meets no square
+    that underflows, nor numpy's complex division by a subnormal (nan)."""
+    unit = vf._unit()
+    ops = np.einsum("ia,ib->iab", unit, unit.conj()) / vf._unit_norms[:, None, None]
+    return OperatorFamily(np.ldexp(ops.view(np.float64), vf._exps[:, None, None]).view(np.complex128))
 
 
 def bessel_weighting(vf: VectorFamily) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from opsumbounds import bounds, linalg
 from opsumbounds.cbs import OperatorFamily, _upper_pairs, as_weights, cbs_operator_gap
 from opsumbounds.errors import DimensionMismatch
-from opsumbounds.harness import InstanceSpec, generate, verify_instance
+from opsumbounds.harness import KINDS, InstanceSpec, generate, verify_instance
 from opsumbounds.rng import PortableRng
 
 
@@ -283,3 +283,29 @@ def test_norm_pass_holds_at_most_four_and_a_half_stacks():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * stack_bytes
+
+
+def _lagrange_gap(z, ops):
+    """sum_{i<j} C_ij C_ij^* with C_ij = conj(z_j) A_i - conj(z_i) A_j:
+    Lagrange's identity for the gap, built pair by pair in O(n^2 d^3)
+    with no subtraction of the two large sides."""
+    i, j = np.triu_indices(len(z), 1)
+    c = z[j].conj()[:, None, None] * ops[i] - z[i].conj()[:, None, None] * ops[j]
+    return (c @ c.conj().transpose(0, 2, 1)).sum(axis=0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gap_matches_the_lagrange_identity(kind):
+    # one side scaled at a time: weights by 10^+-150 and 10^4, operators
+    # by 10^+-75, every entry of the gap and its least eigenvalue within
+    # 64 n eps of D = (sum |z_i|^2) ||sum A_i A_i^*||
+    eps = np.finfo(float).eps
+    for n in range(1, 7):
+        for seed in range(8):
+            w, fam, _ = generate(InstanceSpec(kind, n + seed % 4, n, seed))
+            for w_scale, op_scale in ((1.0, 1.0), (1e150, 1.0), (1e-150, 1.0), (1e4, 1.0), (1.0, 1e75), (1.0, 1e-75)):
+                z, scaled = w * w_scale, OperatorFamily(fam.ops * op_scale)
+                gap = cbs_operator_gap(z, scaled)
+                d_scale = float((np.abs(z) ** 2).sum()) * np.linalg.norm(scaled.sum_products, 2)
+                err = max(float(np.abs(gap.gap - _lagrange_gap(z, scaled.ops)).max()), -gap.min_eigenvalue)
+                assert err <= 64 * n * eps * d_scale, (n, seed, w_scale, op_scale, err / (n * eps * d_scale))

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
-from opsumbounds.cli import main
-from opsumbounds.harness import KINDS, InstanceSpec, generate, slack_sweep, write_slack_csv
-from opsumbounds.problemio import ProblemFile, write_problem
+from opsumbounds.bounds import catalog_reports, tightest_report
+from opsumbounds.cbs import OperatorFamily
+from opsumbounds.cli import _json, main
+from opsumbounds.harness import KINDS, InstanceSpec, generate, slack_sweep, verify_instance, write_slack_csv
+from opsumbounds.problemio import ProblemFile, load_problem, write_problem
 from opsumbounds.rng import PortableRng
 
 
@@ -89,6 +93,81 @@ def test_verify_output_parses_despite_infinite_slack(capsys):
     out = capsys.readouterr().out
     assert "Infinity" in out
     json.loads(out)
+
+
+@pytest.mark.parametrize("vectors", [
+    [[[1e-310, 0], [0, 0]]],
+    [[[1e-310, 0], [0, 0]], [[0.6, 0.1], [0.3, -0.2]]],
+])
+def test_verify_takes_vectors_with_subnormal_entries(tmp_path, capsys, vectors):
+    # the materialized operators of a vector whose norm is subnormal
+    # must come out finite, as the Gram route's bound already does
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"schema_version": "1", "dim": 2, "vectors": vectors}), encoding="utf-8")
+    assert main(["verify", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["all_hold"] is True
+
+
+def test_report_encoder_writes_each_value_by_its_type():
+    value = {"flag": True, "count": 3, "low": float("-inf"), "x": np.float64(0.1), "name": 'a"b', "in": {}}
+    assert _json(value) == ('{"flag": true, "count": 3, "low": -Infinity, "x": 0.10000000000000001, '
+                            '"name": "a\\"b", "in": {}}')
+    assert (_json(float("inf")), _json(float("nan")), _json(-0.0)) == ("Infinity", "NaN", "-0")
+    # a numpy bool or integer is no Python bool or int: refused, not quoted
+    for bad in (np.bool_(True), np.int64(3), None, [1.0]):
+        with pytest.raises(TypeError):
+            _json(bad)
+
+
+def _same_float(parsed, value) -> bool:
+    # bit for bit up to a nan's sign and payload, which no report carries
+    if math.isnan(value):
+        return math.isnan(parsed)
+    return parsed == value and math.copysign(1.0, parsed) == math.copysign(1.0, value)
+
+
+def _same_record(parsed: dict, record: dict) -> bool:
+    if list(parsed) != list(record):
+        return False
+    return all(_same_float(parsed[key], value) if isinstance(value, float) else parsed[key] == value
+               for key, value in record.items())
+
+
+# weights x 1e60 overflow catalog entries to inf and nan (the scale fault
+# that the catalog still has); the reports must carry them all the same
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_every_report_value_round_trips(tmp_path, capsys):
+    w, fam, _ = generate(InstanceSpec("GaussianDense", 4, 3, 1))
+    path = str(tmp_path / "scaled.json")
+    write_problem(ProblemFile("1", 4, w * 1e60, fam.ops, None), path)
+    pf = load_problem(path)
+    fam = OperatorFamily(pf.operators)
+    reports = catalog_reports(pf.weights, fam)
+    result = verify_instance(pf.weights, fam)
+    assert main(["bound", "--input", path]) == 0
+    bound_text = capsys.readouterr().out
+    assert main(["verify", "--input", path]) == (0 if result.all_hold else 1)
+    verify_text = capsys.readouterr().out
+    for text in (bound_text, verify_text):
+        # outside its strings, a report spells inf and nan as JSON reads them
+        assert not re.search(r"\b(nan|inf)\b", re.sub(r'"[^"]*"', '""', text))
+
+    # integers parsed as floats keep the sign of a zero printed as "-0"
+    bound = json.loads(bound_text, parse_int=float)
+    best = tightest_report(reports)
+    assert _same_float(bound["lhs_sq"], reports[0].lhs_sq)
+    assert len(bound["bounds"]) == len(reports)
+    for parsed, rep in zip(bound["bounds"], reports):
+        assert _same_record(parsed, dict(name=rep.name, exponents=rep.exponents, value=rep.bound,
+                                         slack_ratio=rep.slack_ratio)), parsed
+    assert _same_record(bound["tightest"], dict(name=best.name, exponents=best.exponents, value=best.bound))
+
+    doc = json.loads(verify_text, parse_int=float)
+    assert doc["all_hold"] is result.all_hold
+    assert _same_float(doc["worst_violation"], result.worst_violation)
+    assert len(doc["checks"]) == len(result.checks)
+    for parsed, chk in zip(doc["checks"], result.checks):
+        assert _same_record(parsed, chk._asdict()), parsed
 
 
 def test_bad_inputs_exit_2(ops_file, tmp_path, capsys):

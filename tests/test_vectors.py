@@ -221,6 +221,9 @@ def test_gram_route_takes_subnormal_entries(tiny):
 
     alone = load(f"[[{tiny}, 0], [0, 0]]")
     assert alone.weighted_sum_norm([1.0]) == float(tiny)
+    # and A = y y^H / ||y|| = diag(tiny, 0), not nan from 0 / ||y||
+    ops = rank_one_family(alone).ops[0]
+    assert ops[0, 0] == pytest.approx(float(tiny), rel=1e-12, abs=0.0) and not ops.ravel()[1:].any()
     for vf, lhs in ((alone, 0.0), (load(f"[[{tiny}, 0], [0, 0]], [[0.6, 0.1], [0.3, -0.2]]"), 0.25)):
         reps = catalog_reports(bessel_weighting(vf), vf)
         assert reps[0].lhs_sq == pytest.approx(lhs, rel=1e-12, abs=0.0)
