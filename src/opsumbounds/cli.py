@@ -30,7 +30,7 @@ from .problemio import format_float
 
 def _json(value) -> str:
     """A report value as JSON text, by its type: a dict as a one-line
-    object, a float at 17 significant digits."""
+    object, a float at 17 significant digits, always in float form."""
     if isinstance(value, dict):
         return "{" + ", ".join(f'"{key}": {_json(item)}' for key, item in value.items()) + "}"
     if isinstance(value, bool):
@@ -38,8 +38,10 @@ def _json(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        # json.loads accepts Infinity/NaN, %.17g's "inf" it does not.
+        # json.loads reads "-0" as an int, and takes Infinity/NaN, not "inf"
         text = format_float(value)
+        if text.lstrip("-").isdigit():
+            return text + ".0"
         return {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get(text, text)
     if isinstance(value, str):
         return json.dumps(value)

@@ -1,10 +1,10 @@
 """Dense complex linear algebra with explicit, checkable iterations.
 
 Everything downstream consumes this module: spectral norms via power
-iteration, and Hermitian eigenvalues via Jacobi sweeps in a round-robin
-order cached per size, which rotate every slice of a stack at once in
-its own index order.  The two eigenvalue routes are kept side by side
-on purpose so each can serve as an independent oracle for the other.
+iteration, and Hermitian eigenvalues via LAPACK (numpy.linalg.eigvalsh)
+on every slice of a stack at once.  The two eigenvalue routes share no
+code on purpose, so each can serve as an independent oracle for the
+other.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, NoConvergence, NotHermitian, finite_array
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10000
-_MAX_SWEEPS = 100
+DEFAULT_MAX_ITER = 64
 PSD_TOL = 1e-8
 
 _TINY = np.finfo(np.float64).tiny
@@ -51,8 +50,8 @@ def pow2_scale(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Dividing by a power of two is exact, so a result computed on the
     scaled slices and multiplied back by np.ldexp carries the same bits
     as the unscaled computation, while the squares and products that
-    make up B and the Jacobi scale can no longer overflow, nor underflow
-    at the slice's own scale.
+    make up B and the eigensolver's input can no longer overflow, nor
+    underflow at the slice's own scale.
     """
     parts = np.asarray(stack, dtype=np.complex128, order="C").view(np.float64)
     exps = np.frexp(np.abs(parts).max(axis=tuple(range(1, parts.ndim))))[1]
@@ -179,104 +178,25 @@ def spectral_norms(ms) -> np.ndarray:
     """Spectral norms of a stack of same-shape matrices.
 
     Power iteration first; the slices whose spectral gap is too small
-    to converge in DEFAULT_MAX_ITER steps fall back together to the
-    Jacobi eigenvalue route, which is slower but gap-independent.
+    to converge in DEFAULT_MAX_ITER steps fall back together to LAPACK's
+    Hermitian eigenvalues of B, which do not depend on the gap.
     """
     scaled, exps = pow2_scale(finite_array(ms, 3, "matrices"))
     bs = _hermitian_products(scaled)
     del scaled  # not read again; freeing it lowers the peak of a large stack
     lam, _, _, done = _power_stack(bs)
     if not done.all():
-        lam[~done] = _jacobi_stack(bs[~done])[:, -1]
+        lam[~done] = _eigvalsh(bs[~done])[:, -1]
     return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), exps)
 
 
-@lru_cache(maxsize=64)
-def _round_robin(n: int) -> tuple:
-    """The n-1 rounds of a sweep on n (even) indices, cached, read-only:
-    per round, the flat positions of the k = n/2 pivots (p, q) and of
-    their diagonal entries, (3, k), and per index its partner, pivot
-    number s and side (s for p_s, k+s for q_s).  Slot s pairs with slot
-    n-1-s; index 0 stays in slot 0, and index j > 0 is in slot
-    (j-1+r) % (n-1) + 1 in round r, so every pair meets once.
-    """
-    k = n // 2
-    r = np.arange(n - 1)[:, None]
-    slots = np.hstack([np.zeros_like(r), (np.arange(n - 1) - r) % (n - 1) + 1])
-    p, q = slots[:, :k], slots[:, : k - 1 : -1]
-    at = np.argsort(slots, axis=1)
-    side = np.r_[0:k, n - 1 : k - 1 : -1][at]
-    rounds = (np.stack([p * n + q, p * (n + 1), q * (n + 1)], axis=1),
-              np.take_along_axis(slots[:, ::-1], at, axis=1), side % k, side)
-    for a in rounds:
-        a.flags.writeable = False
-    return rounds
-
-
-def _jacobi_stack(ws: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending, one row per slice) of a stack of Hermitian
-    matrices, by Jacobi sweeps in round-robin order (Brent & Luk, 1985).
-
-    A matrix of odd size d is bordered by a zero row and column at index
-    0, which pairs only with zero pivots and so is never rotated.  A
-    sweep is the n-1 rounds of n/2 disjoint pivots of _round_robin, each
-    applied to every slice at once in the matrix's own index order: a
-    gather reads the pivots and their diagonal entries, and each column,
-    then each row, is updated from itself and its partner, so a round
-    costs O(n^2) per slice.  A pivot h is reduced to a real 2x2 problem
-    through its phase and annihilated by the classical rotation, up to
-    rounding; with tol = DEFAULT_TOL, pivots with |h| <= tol ||W||_F /
-    (4 d^2) are skipped.  The diagonal is read as its real part.  A
-    slice is done, and leaves the active set, when the Frobenius mass of
-    its off-diagonal part is at most tol ||W||_F, tested before each
-    sweep.  Raises NoConvergence after _MAX_SWEEPS.
-    """
-    m, d, _ = ws.shape
-    pad = d % 2
-    n = d + pad
-    w = np.zeros((m, n, n), dtype=np.complex128)
-    w[:, pad:, pad:] = ws
-    target = DEFAULT_TOL * np.sqrt((w.real**2 + w.imag**2).sum(axis=(1, 2)))
-    skip = target[:, None] / (4.0 * d * d)
-    off = ~np.eye(n, dtype=bool)
-    out = np.zeros((m, n))
-    idx = np.arange(m)
-    for sweep in range(_MAX_SWEEPS + 1):
-        # summed directly off the off-diagonal entries: subtracting the
-        # diagonal mass from the total would cancel catastrophically and
-        # bottom out near eps * ||w||^2, far above target^2
-        off_sq = ((w.real**2 + w.imag**2) * off).sum(axis=(1, 2))
-        finished = off_sq <= target * target
-        if finished.any():
-            out[idx[finished]] = w[finished].diagonal(axis1=1, axis2=2).real
-            keep = ~finished
-            if not keep.any():
-                break
-            idx, w, target, skip = idx[keep], w[keep], target[keep], skip[keep]
-        if sweep == _MAX_SWEEPS:
-            raise NoConvergence("jacobi sweep limit reached")
-        for gather, partner, pair, side in zip(*_round_robin(n)):
-            piv = w.reshape(len(w), n * n).take(gather, axis=1)
-            h = piv[:, 0]
-            ah = np.abs(h)
-            live = ah > skip
-            h = h * live
-            ah = ah * live
-            # t = sign(tau) / (|tau| + sqrt(1 + tau^2)), tau = (w_qq - w_pp) / (2 |h|);
-            # multiplying top and bottom by 2 |h| gives t = g |h|, which cannot
-            # overflow for small |h|.  The floor keeps a skipped pivot between
-            # equal diagonal entries at t = 0 instead of 0/0.
-            diff = piv[:, 2].real - piv[:, 1].real
-            g = np.copysign(2.0, diff) / np.maximum(np.abs(diff) + np.hypot(diff, 2.0 * ah), _TINY)
-            c = 1.0 / np.sqrt(1.0 + (g * ah) ** 2)
-            sp = c * g * h
-            # p_s gets coefficient c on itself and -conj(sp) on q_s, and
-            # q_s gets c on itself and sp on p_s
-            cs = c.take(pair, axis=1)
-            ss = np.concatenate([-sp.conj(), sp], axis=1).take(side, axis=1)
-            x = w * cs[:, None, :] + w.take(partner, axis=2) * ss[:, None, :]
-            w = x * cs[:, :, None] + x.take(partner, axis=1) * ss.conj()[:, :, None]
-    return np.sort(out[:, pad:], axis=1)
+def _eigvalsh(ws: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each slice of a Hermitian stack, by
+    LAPACK; its failure to converge is raised as NoConvergence."""
+    try:
+        return np.linalg.eigvalsh(ws)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalue solver did not converge: {exc}") from exc
 
 
 def _require_hermitian(stack: np.ndarray) -> None:
@@ -292,12 +212,14 @@ def _require_hermitian(stack: np.ndarray) -> None:
 
 def hermitian_eigenvalues(h) -> np.ndarray:
     """All eigenvalues of (H + H^H)/2 for each H of a stack of square
-    matrices, ascending, one row per slice, by round-robin Jacobi.
+    matrices, ascending, one row per slice, by LAPACK's Hermitian
+    eigensolver (numpy.linalg.eigvalsh).
 
     Each slice is divided by a power of two near its largest entry
     first, so that entries of any representable size give eigenvalues
     to full relative accuracy.  Raises NotHermitian when H deviates from
-    its adjoint by more than DEFAULT_TOL times its largest entry.
+    its adjoint by more than DEFAULT_TOL times its largest entry, and
+    NoConvergence when LAPACK does not converge.
     """
     stack = finite_array(h, 3, "matrices")
     if stack.shape[1] != stack.shape[2]:
@@ -305,4 +227,4 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     scaled, exps = pow2_scale(stack)
     _require_hermitian(scaled)
     w = 0.5 * (scaled + scaled.conj().transpose(0, 2, 1))
-    return np.ldexp(_jacobi_stack(w), exps[:, None])
+    return np.ldexp(_eigvalsh(w), exps[:, None])

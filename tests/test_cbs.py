@@ -142,7 +142,7 @@ def test_norm_check_equality_for_identical_phases():
 
 def test_norm_check_survives_near_degenerate_top_pair():
     # S = diag(1, 1 - 1e-9) has a relative gap of 2e-9 in S^* S, beyond
-    # any power-iteration budget; the Jacobi fallback must carry the check
+    # any power-iteration budget; the LAPACK fallback must carry the check
     fam = OperatorFamily([np.diag([1.0, 0.0]), np.diag([0.0, 1.0 - 1e-9])])
     rec = _cbs_norm_record([1.0, 1.0], fam)
     assert rec.holds

@@ -112,7 +112,7 @@ def test_report_encoder_writes_each_value_by_its_type():
     value = {"flag": True, "count": 3, "low": float("-inf"), "x": np.float64(0.1), "name": 'a"b', "in": {}}
     assert _json(value) == ('{"flag": true, "count": 3, "low": -Infinity, "x": 0.10000000000000001, '
                             '"name": "a\\"b", "in": {}}')
-    assert (_json(float("inf")), _json(float("nan")), _json(-0.0)) == ("Infinity", "NaN", "-0")
+    assert (_json(float("inf")), _json(float("nan")), _json(-0.0)) == ("Infinity", "NaN", "-0.0")
     # a numpy bool or integer is no Python bool or int: refused, not quoted
     for bad in (np.bool_(True), np.int64(3), None, [1.0]):
         with pytest.raises(TypeError):
@@ -152,8 +152,7 @@ def test_every_report_value_round_trips(tmp_path, capsys):
         # outside its strings, a report spells inf and nan as JSON reads them
         assert not re.search(r"\b(nan|inf)\b", re.sub(r'"[^"]*"', '""', text))
 
-    # integers parsed as floats keep the sign of a zero printed as "-0"
-    bound = json.loads(bound_text, parse_int=float)
+    bound = json.loads(bound_text)
     best = tightest_report(reports)
     assert _same_float(bound["lhs_sq"], reports[0].lhs_sq)
     assert len(bound["bounds"]) == len(reports)
@@ -162,7 +161,7 @@ def test_every_report_value_round_trips(tmp_path, capsys):
                                          slack_ratio=rep.slack_ratio)), parsed
     assert _same_record(bound["tightest"], dict(name=best.name, exponents=best.exponents, value=best.bound))
 
-    doc = json.loads(verify_text, parse_int=float)
+    doc = json.loads(verify_text)
     assert doc["all_hold"] is result.all_hold
     assert _same_float(doc["worst_violation"], result.worst_violation)
     assert len(doc["checks"]) == len(result.checks)
@@ -277,6 +276,16 @@ def test_nonconvergence_exits_3(ops_file, capsys, monkeypatch):
     assert "error" in capsys.readouterr().err
 
 
+def test_lapack_failure_exits_3(capsys, monkeypatch):
+    # LAPACK's LinAlgError is a ValueError, which alone would exit 2
+    def fail(ws):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert main(["verify", "--kind", "GaussianDense", "--dim", "4", "--count", "3"]) == 3
+    assert capsys.readouterr().err.startswith("error: eigenvalue solver did not converge")
+
+
 def test_arithmetic_overflow_exits_2(ops_file, capsys, monkeypatch):
     from opsumbounds import bounds
 
@@ -375,14 +384,14 @@ FROZEN_DIGESTS = {
     "bound:operators": (0, "ccbb49b972dc2f3ec0e9adae351af18241e3dd189ebe4f2a736308bc158b3b10"),
     "bound:vectors": (0, "ae2095be2df924a7c22642caa770628081c788a998ec9db0c1a625b89270ff08"),
     "bound:vectors_weighted": (0, "4ec285b57064629aa32562fd8f4df7ba8314b362491db4135e7db377c614012a"),
-    "verify:operators": (0, "d01db2ce2f7ab6020829d567c2b686b1a4b93fc11c918cbfdaf646019862676f"),
-    "verify:vectors": (0, "26d302321d8a9b4dc8024acadaed1a4a3f67ece36a80cb864975e484b8be6766"),
-    "verify:vectors_weighted": (0, "8dde9b0bc78eaaece3067fbd79c5e5fad48c9e8b659fe69ae6af761b9a18d101"),
-    "verify:GaussianDense": (0, "2c1f9e88689aaf628350b0a3c4811c421cf381113bde29507fc621078820af3b"),
-    "verify:UnitaryScaled": (0, "cb236a33c325e5eef16de7495f72616743979b3de8ebf2cece256a142644dbd8"),
-    "verify:RankOneFromVectors": (0, "4a430c483c7135665444e682c7ccdfd2166ff9d1891f6f5d70e2039c166c3384"),
-    "verify:BlockOrthogonal": (0, "5a6f5a31f9e9fbf523b4e5d4ce4370ceeeef929887d45e5148f57f1f64d75a80"),
-    "verify:OrthonormalRankOne": (0, "ee011ebd88f671afc7a6c1e31a934e6ff8500b36c22aa3d3a3964bb4750a0695"),
+    "verify:operators": (0, "984dfe6b7cd85bbe0b41c4430c58e5713c3187921ec7b8a42ba9f3f31067f3dd"),
+    "verify:vectors": (0, "282af004031c8124919d8fe33ec964cb7331e0230b16fba21b19860c0bbc4745"),
+    "verify:vectors_weighted": (0, "75bfbe57122b8ca574630e7037c91a234eb331e275fee35ba4d0d75b38e8212b"),
+    "verify:GaussianDense": (0, "f6c85ed6bea8e68625b4c2cdca7ea0682e5e6e4078d6167865ebd53eff2d825b"),
+    "verify:UnitaryScaled": (0, "b0247414096713282bddf2c7db4bd17b3e648fd3b73e5673cf74c55f6362773a"),
+    "verify:RankOneFromVectors": (0, "bf6d81e34704c3b351a12ff6269cd3d63919a98b2defdd961a35888fc78d9a3f"),
+    "verify:BlockOrthogonal": (0, "903aa63b49ffe749d83ffb917011c6618a516945cd9391ada626c2c7ee30976d"),
+    "verify:OrthonormalRankOne": (0, "81d4d74f265b0ecc5879409405e002b40a4b59f22bf0e5984e342d26b76e3cb1"),
     "sweep": (0, "02b81ba3d9e0c34ceb23a836b316490c8e0fdba946185b923fefd87aabf1ff73"),
 }
 

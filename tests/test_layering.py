@@ -7,6 +7,7 @@ import dataclasses
 import inspect
 from pathlib import Path
 
+import jacobi
 import opsumbounds
 from opsumbounds import bounds, cbs, errors, harness, linalg, problemio, vectors
 
@@ -59,7 +60,7 @@ def test_no_module_uses_a_sibling_private_name():
 
 
 # each function and the parameters it does not take: the values are
-# DEFAULT_TOL, DEFAULT_MAX_ITER, _MAX_SWEEPS, PSD_TOL, ORTHOGONAL_TOL, the
+# DEFAULT_TOL, DEFAULT_MAX_ITER, PSD_TOL, ORTHOGONAL_TOL, the
 # harness's fixed probe salt, and the spec that generate's caller holds
 FIXED_KNOBS = [
     (linalg.spectral_norm, {"tol", "max_iter"}),
@@ -79,8 +80,13 @@ def test_engine_tolerances_are_not_parameters():
     # the CLI's --tol still reaches the harness
     assert "tol" in inspect.signature(harness.verify_instance).parameters
     assert not hasattr(cbs, "cbs_norm_check") and not hasattr(bounds, "HolderPair")
-    assert list(inspect.signature(linalg._jacobi_stack).parameters) == ["ws"]
     assert "spec" not in {f.name for f in dataclasses.fields(harness.VerificationResult)}
+
+
+def test_jacobi_lives_only_in_the_tests():
+    # LAPACK solves the eigenvalues; the round-robin Jacobi is the tests' oracle
+    assert not {"_jacobi_stack", "_round_robin", "_MAX_SWEEPS"} & set(vars(linalg))
+    assert list(inspect.signature(jacobi._jacobi_stack).parameters) == ["ws"]
 
 
 def test_families_are_taken_as_given():

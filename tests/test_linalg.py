@@ -1,15 +1,18 @@
 """Spectral-norm and eigenvalue routines against independent oracles.
 
 The frozen constants below were computed with numpy's LAPACK-backed
-svd/eigvalsh on the same seeded inputs, so the power-iteration and
-Jacobi routes are checked against an implementation they share no code
-with.
+svd/eigvalsh on the same seeded inputs, so the power-iteration route is
+checked against an implementation it shares no code with.  The
+round-robin Jacobi oracle (tests/jacobi.py) shares no code with either
+route, and checks both.
 """
 
+import jacobi
 import numpy as np
 import pytest
 
 from opsumbounds import linalg
+from opsumbounds.cbs import OperatorFamily
 from opsumbounds.errors import DimensionMismatch, NoConvergence, NotHermitian
 from opsumbounds.rng import PortableRng
 
@@ -112,7 +115,7 @@ def test_spectral_norms_heavy_tail_batch_matches_svd():
     stack[4] = 0.0                                               # zero slice
     stack[6] = _rotated([1.0, 1.0 - 1e-3, 0.5], 11)
     stack[7] = _rotated([2.0, 2.0 - 1e-6, 1e-3], 12)
-    stack[8] = np.diag([1.0, 1.0 - 1e-9, 0.25])                  # Jacobi fallback
+    stack[8] = np.diag([1.0, 1.0 - 1e-9, 0.25])                  # LAPACK fallback
     stack[9] = _rotated([3.0, 3.0, 1.0], 13)                     # exact tie
     values = linalg.spectral_norms(stack)
     for i in range(10):
@@ -183,7 +186,7 @@ def test_iteration_budget_is_the_module_constant(monkeypatch):
     monkeypatch.setattr(linalg, "DEFAULT_MAX_ITER", 1)
     with pytest.raises(NoConvergence):
         linalg.spectral_norm(stack[0])
-    # the batch falls back to the Jacobi route and still finds the norms
+    # the batch falls back to LAPACK and still finds the norms
     assert np.allclose(linalg.spectral_norms(stack), full, rtol=1e-12, atol=0.0)
 
 def test_hermitian_eigenvalues_frozen():
@@ -211,8 +214,9 @@ def test_jacobi_route_agrees_with_power_route():
         d = 2 + trial % 15
         m = rng.complex_normal((d, d))
         b = m.conj().T @ m
-        top = float(linalg.hermitian_eigenvalues(b[None])[0, -1])
-        assert linalg.spectral_norm(m).value == pytest.approx(np.sqrt(top), rel=1e-10)
+        norm = linalg.spectral_norm(m).value
+        for top in (linalg.hermitian_eigenvalues(b[None])[0, -1], jacobi._jacobi_stack(b[None])[0, -1]):
+            assert norm == pytest.approx(np.sqrt(top), rel=1e-10)
 
 
 def test_not_hermitian_rejected():
@@ -238,22 +242,24 @@ def test_jacobi_stack_mixed_slices(monkeypatch):
     stack[3] = _rotated([2.0, 2.0 - 1e-9, 1.0, 0.5, -0.5, -1.0], 21)  # near-degenerate pair
     a = rng.complex_normal((6, 6))
     stack[4] = a + a.conj().T                                        # dense: several sweeps
-    got = linalg.hermitian_eigenvalues(stack)
+    got = jacobi._jacobi_stack(stack)
     _assert_slices_match_eigvalsh(stack, got)
+    _assert_slices_match_eigvalsh(stack, linalg.hermitian_eigenvalues(stack))
     assert np.all(got[0] == 0.0)
     assert np.array_equal(got[1], np.sort(stack[1].diagonal().real))
     # the slices leave the active set after different sweep counts; the
     # sweep budget is _MAX_SWEEPS, read at call time
-    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
-    linalg._jacobi_stack(stack[:3])
+    monkeypatch.setattr(jacobi, "_MAX_SWEEPS", 1)
+    jacobi._jacobi_stack(stack[:3])
     with pytest.raises(NoConvergence):
-        linalg._jacobi_stack(stack[4:])
+        jacobi._jacobi_stack(stack[4:])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 15, 16])
 def test_jacobi_stack_odd_and_even_sizes(d):
     a = PortableRng(3300 + d).complex_normal((4, d, d))
     stack = a + a.conj().transpose(0, 2, 1)
+    _assert_slices_match_eigvalsh(stack, jacobi._jacobi_stack(stack))
     _assert_slices_match_eigvalsh(stack, linalg.hermitian_eigenvalues(stack))
     single = linalg.hermitian_eigenvalues(stack[2][None])[0]
     assert single.shape == (d,)
@@ -278,7 +284,42 @@ def test_hermitian_eigenvalues_rejects_bad_stacks():
         linalg.hermitian_eigenvalues(np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
 
 
-def test_spectral_norms_batches_two_jacobi_fallbacks():
+EPS = np.finfo(np.float64).eps
+
+
+def _oracle_eigenvalues(h):
+    # the Jacobi oracle on each slice divided by an exact power of two, so
+    # that its squared entries neither overflow nor underflow
+    scaled, exps = linalg.pow2_scale(h)
+    return np.ldexp(jacobi._jacobi_stack(scaled), exps[:, None])
+
+
+def _oracle_norms(ms):
+    scaled, exps = linalg.pow2_scale(ms)
+    b = scaled.conj().transpose(0, 2, 1) @ scaled
+    return np.ldexp(np.sqrt(np.maximum(jacobi._jacobi_stack(b)[:, -1], 0.0)), exps)
+
+
+def _assert_near_oracle(got, ref, d):
+    # two backward-stable solvers of a d x d matrix agree to a few d eps
+    # of its largest eigenvalue (measured here: at most 2.4 d eps);
+    # ref holds one norm, or one row of eigenvalues, per slice
+    top = np.abs(ref) if ref.ndim == 1 else np.abs(ref).max(axis=1, keepdims=True)
+    dev = np.abs(got - ref) / top
+    assert (dev <= 8 * d * EPS).all(), dev / EPS
+
+
+def test_spectral_norms_batches_fallbacks_that_match_the_jacobi_oracle(monkeypatch):
+    # the slices that no power budget finishes go to LAPACK together, as
+    # one stack of their B = M^H M, or M M^H for a wide M
+    seen = []
+    solve = linalg._eigvalsh
+
+    def spy(ws):
+        seen.append(ws.copy())
+        return solve(ws)
+
+    monkeypatch.setattr(linalg, "_eigvalsh", spy)
     near = [1.0, 1.0 - 1e-9, 0.25]
     stack = PortableRng(5252).complex_normal((4, 3, 3))
     stack[1] = np.diag(near)
@@ -286,16 +327,79 @@ def test_spectral_norms_batches_two_jacobi_fallbacks():
     for i in (1, 3):
         with pytest.raises(NoConvergence):
             linalg.spectral_norm(stack[i])
-    values = linalg.spectral_norms(stack)
-    for i in range(4):
-        expected = float(np.linalg.svd(stack[i], compute_uv=False)[0])
-        assert abs(values[i] - expected) <= 1e-10 * expected, i
+    wide = PortableRng(5353).complex_normal((2, 4, 6))
+    wide[0] = 0.0
+    wide[0][:3, :3] = _rotated(near, 54)
+    for ms in (stack, wide):
+        values = linalg.spectral_norms(ms)
+        for i, m in enumerate(ms):
+            expected = float(np.linalg.svd(m, compute_uv=False)[0])
+            assert abs(values[i] - expected) <= 1e-10 * expected, i
+        _assert_near_oracle(values, _oracle_norms(ms), min(ms.shape[1:]))
+    assert [s.shape for s in seen] == [(2, 3, 3), (1, 4, 4)]
+    for ws in seen:
+        _assert_near_oracle(solve(ws), jacobi._jacobi_stack(ws), ws.shape[1])
+
+
+def _near_degenerate(d, deltas, seed):
+    # one matrix per delta, whose top two singular values differ by delta
+    tail = np.linspace(0.5, 0.1, d - 2)
+    return np.stack([_rotated(np.r_[1.0, 1.0 - delta, tail], seed + k) for k, delta in enumerate(deltas)])
+
+
+def _oracle_stack(kind, d):
+    rng = PortableRng(7100 + d)
+    if kind == "random":
+        return rng.complex_normal((4, d, d))
+    if kind == "near_degenerate":
+        # 1e-3 and the exact tie finish within the power budget, 1e-6 and
+        # 1e-9 fall back
+        return _near_degenerate(d, (1e-3, 1e-6, 1e-9, 0.0), 7200 + d)
+    return rng.complex_normal((4, d, d)) * np.array([1e-150, 1e150, 1e-150, 1e150])[:, None, None]
+
+
+@pytest.mark.parametrize("kind", ["random", "near_degenerate", "scaled"])
+@pytest.mark.parametrize("d", [3, 4, 7, 8, 16])
+def test_both_routes_match_the_jacobi_oracle(kind, d):
+    ms = _oracle_stack(kind, d)
+    h = ms + ms.conj().transpose(0, 2, 1)
+    _assert_near_oracle(linalg.hermitian_eigenvalues(h), _oracle_eigenvalues(h), d)
+    _assert_near_oracle(linalg.spectral_norms(ms), _oracle_norms(ms), d)
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-9])
+def test_near_degenerate_d64_family_matches_the_jacobi_oracle(delta):
+    # A_2 = 0.5i A_1, so every slice of the family's norm pass shares the
+    # top pair of A_1, which no power budget separates at these gaps
+    m = _near_degenerate(64, (delta,), 64)[0]
+    fam = OperatorFamily(np.stack([m, 0.5j * m]))
+    z = np.array([1.0, 1.0])
+    s = fam.weighted_sum(z)
+    lhs = fam.weighted_sum_norm(z)
+    got = np.r_[fam.norms, fam.cross[0, 0], fam.cross[0, 1], fam.cross[1, 1], fam.sum_products_norm, lhs]
+    mm = m @ m.conj().T
+    ref = _oracle_norms(np.stack([m, 0.5j * m, mm, 0.5 * mm, 0.25 * mm, 1.25 * mm, s]))
+    _assert_near_oracle(got, ref, 64)
+
+
+def test_lapack_failure_is_no_convergence(monkeypatch):
+    def fail(ws):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        linalg.hermitian_eigenvalues(np.eye(3)[None])
+    # only a slice that falls back reaches LAPACK
+    near = _near_degenerate(4, (1e-9,), 1)
+    assert linalg.spectral_norms(np.eye(3)[None])[0] == 1.0
+    with pytest.raises(NoConvergence, match="did not converge"):
+        linalg.spectral_norms(near)
 
 
 def test_spectral_norms_concatenated_stack_is_bitwise_per_part():
     # the family's norm pass appends the catalog's left side to its own
     # stack, which is only sound if no slice depends on its companions:
-    # the Jacobi fallback, a zero slice, scales 1e-150..1e150, and slices
+    # the LAPACK fallback, a zero slice, scales 1e-150..1e150, and slices
     # that finish at different iteration counts all share one stack here
     rng = PortableRng(4242)
     spread = rng.complex_normal((6, 3, 3)) * (10.0 ** np.linspace(-150, 150, 6))[:, None, None]
@@ -324,7 +428,7 @@ def _slot_moving_jacobi(ws):
     # The round-robin Jacobi as first written: the matrix is physically
     # moved between slots after every round, the pivots are read through
     # reversed views and the coefficients concatenated from reversed
-    # copies.  _jacobi_stack must match it bit for bit.
+    # copies.  The oracle's _jacobi_stack must match it bit for bit.
     m, d, _ = ws.shape
     pad = d % 2
     n = d + pad
@@ -336,7 +440,7 @@ def _slot_moving_jacobi(ws):
     off = ~np.eye(n, dtype=bool)
     out = np.zeros((m, n))
     idx = np.arange(m)
-    for sweep in range(linalg._MAX_SWEEPS + 1):
+    for sweep in range(jacobi._MAX_SWEEPS + 1):
         off_sq = ((w.real**2 + w.imag**2) * off).sum(axis=(1, 2))
         finished = off_sq <= target * target
         if finished.any():
@@ -345,7 +449,7 @@ def _slot_moving_jacobi(ws):
             if not keep.any():
                 break
             idx, w, target, skip = idx[keep], w[keep], target[keep], skip[keep]
-        if sweep == linalg._MAX_SWEEPS:
+        if sweep == jacobi._MAX_SWEEPS:
             raise NoConvergence("jacobi sweep limit reached")
         for _ in range(n - 1):
             dg = w.diagonal(axis1=1, axis2=2).real
@@ -355,7 +459,7 @@ def _slot_moving_jacobi(ws):
             h = h * live
             ah = ah * live
             diff = dg[:, : k - 1 : -1] - dg[:, :k]
-            g = np.copysign(2.0, diff) / np.maximum(np.abs(diff) + np.hypot(diff, 2.0 * ah), linalg._TINY)
+            g = np.copysign(2.0, diff) / np.maximum(np.abs(diff) + np.hypot(diff, 2.0 * ah), jacobi._TINY)
             c = 1.0 / np.sqrt(1.0 + (g * ah) ** 2)
             sp = c * g * h
             cs = np.concatenate([c, c[:, ::-1]], axis=1)
@@ -368,7 +472,7 @@ def _slot_moving_jacobi(ws):
 
 
 def _assert_bitwise_as_slot_moving(stack):
-    got = linalg._jacobi_stack(stack)
+    got = jacobi._jacobi_stack(stack)
     assert got.tobytes() == _slot_moving_jacobi(stack).tobytes(), stack.shape
 
 
@@ -411,34 +515,10 @@ def test_jacobi_stack_is_bitwise_the_slot_moving_kernel_across_sweep_counts():
     _assert_bitwise_as_slot_moving(stack)
 
 
-def test_jacobi_stack_is_bitwise_the_slot_moving_kernel_on_norm_fallbacks(monkeypatch):
-    seen = []
-    kernel = linalg._jacobi_stack
-
-    def spy(ws):
-        seen.append(ws.copy())
-        return kernel(ws)
-
-    monkeypatch.setattr(linalg, "_jacobi_stack", spy)
-    near = [1.0, 1.0 - 1e-9, 0.25]
-    stack = PortableRng(5252).complex_normal((4, 3, 3))
-    stack[1] = np.diag(near)
-    stack[3] = _rotated(near, 53)
-    linalg.spectral_norms(stack)
-    wide = PortableRng(5353).complex_normal((2, 4, 6))
-    wide[0] = 0.0
-    wide[0][:3, :3] = _rotated(near, 54)
-    linalg.spectral_norms(wide)
-    monkeypatch.undo()
-    assert [s.shape for s in seen] == [(2, 3, 3), (1, 4, 4)]
-    for ws in seen:
-        _assert_bitwise_as_slot_moving(ws)
-
-
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 16, 20])
 def test_round_robin_schedule(n):
-    schedule = linalg._round_robin(n)
-    assert linalg._round_robin(n) is schedule
+    schedule = jacobi._round_robin(n)
+    assert jacobi._round_robin(n) is schedule
     for a in schedule:
         assert not a.flags.writeable and len(a) == n - 1
     k = n // 2
