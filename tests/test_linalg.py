@@ -309,9 +309,21 @@ def _assert_near_oracle(got, ref, d):
     assert (dev <= 8 * d * EPS).all(), dev / EPS
 
 
-def test_spectral_norms_batches_fallbacks_that_match_the_jacobi_oracle(monkeypatch):
-    # the slices that no power budget finishes go to LAPACK together, as
-    # one stack of their B = M^H M, or M M^H for a wide M
+def _norm_fallback_stacks():
+    # a square stack with two slices, and a wide stack with one, that no
+    # power budget finishes
+    near = [1.0, 1.0 - 1e-9, 0.25]
+    stack = PortableRng(5252).complex_normal((4, 3, 3))
+    stack[1] = np.diag(near)
+    stack[3] = _rotated(near, 53)
+    wide = PortableRng(5353).complex_normal((2, 4, 6))
+    wide[0] = 0.0
+    wide[0][:3, :3] = _rotated(near, 54)
+    return stack, wide
+
+
+def _spectral_norms_and_fallbacks(monkeypatch, stacks):
+    # spectral_norms of each stack, and every stack its fallback sent to LAPACK
     seen = []
     solve = linalg._eigvalsh
 
@@ -320,25 +332,28 @@ def test_spectral_norms_batches_fallbacks_that_match_the_jacobi_oracle(monkeypat
         return solve(ws)
 
     monkeypatch.setattr(linalg, "_eigvalsh", spy)
-    near = [1.0, 1.0 - 1e-9, 0.25]
-    stack = PortableRng(5252).complex_normal((4, 3, 3))
-    stack[1] = np.diag(near)
-    stack[3] = _rotated(near, 53)
+    values = [linalg.spectral_norms(ms) for ms in stacks]
+    monkeypatch.undo()
+    return values, seen
+
+
+def test_spectral_norms_batches_two_jacobi_fallbacks(monkeypatch):
+    # the slices that no power budget finishes go to LAPACK together, as
+    # one stack of their B = M^H M, or M M^H for a wide M, and match the
+    # Jacobi oracle there
+    stacks = _norm_fallback_stacks()
     for i in (1, 3):
         with pytest.raises(NoConvergence):
-            linalg.spectral_norm(stack[i])
-    wide = PortableRng(5353).complex_normal((2, 4, 6))
-    wide[0] = 0.0
-    wide[0][:3, :3] = _rotated(near, 54)
-    for ms in (stack, wide):
-        values = linalg.spectral_norms(ms)
+            linalg.spectral_norm(stacks[0][i])
+    values, seen = _spectral_norms_and_fallbacks(monkeypatch, stacks)
+    for ms, got in zip(stacks, values):
         for i, m in enumerate(ms):
             expected = float(np.linalg.svd(m, compute_uv=False)[0])
-            assert abs(values[i] - expected) <= 1e-10 * expected, i
-        _assert_near_oracle(values, _oracle_norms(ms), min(ms.shape[1:]))
+            assert abs(got[i] - expected) <= 1e-10 * expected, i
+        _assert_near_oracle(got, _oracle_norms(ms), min(ms.shape[1:]))
     assert [s.shape for s in seen] == [(2, 3, 3), (1, 4, 4)]
     for ws in seen:
-        _assert_near_oracle(solve(ws), jacobi._jacobi_stack(ws), ws.shape[1])
+        _assert_near_oracle(linalg._eigvalsh(ws), jacobi._jacobi_stack(ws), ws.shape[1])
 
 
 def _near_degenerate(d, deltas, seed):
@@ -513,6 +528,13 @@ def test_jacobi_stack_is_bitwise_the_slot_moving_kernel_across_sweep_counts():
     stack[1][6, 2] = 0.5 + 0.25j
     stack[2:] = _hermitian_stack(8711, 2, 9)
     _assert_bitwise_as_slot_moving(stack)
+
+
+def test_jacobi_stack_is_bitwise_the_slot_moving_kernel_on_norm_fallbacks(monkeypatch):
+    _, seen = _spectral_norms_and_fallbacks(monkeypatch, _norm_fallback_stacks())
+    assert [s.shape for s in seen] == [(2, 3, 3), (1, 4, 4)]
+    for ws in seen:
+        _assert_bitwise_as_slot_moving(ws)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 16, 20])
