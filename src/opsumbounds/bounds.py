@@ -32,7 +32,7 @@ from .cbs import OperatorFamily, as_weights
 from .errors import DimensionMismatch, InvalidExponent, finite_array
 
 DEFAULT_GRID = (1.25, 1.5, 2.0, 3.0, 4.0)
-ORTHOGONAL_TOL = 1e-10
+CHECK_TOL = 1e-9
 
 MAX_WEIGHT = "max_weight"
 MAX_NORM = "max_norm"
@@ -139,9 +139,9 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
     Each aggregate is computed once per distinct exponent.  The master
     entries are the table D[i] + O[j] of a diagonal term per diagonal
     choice and an off-diagonal term per off-diagonal choice; the named
-    variants follow, and, when every cross product vanishes up to
-    ORTHOGONAL_TOL relative to the largest ||A_i||^2, the diagonal terms
-    D themselves.
+    variants follow, and, when every cross product ||A_i A_j^*|| (i != j)
+    is exactly 0, as the paper's orthogonal bound assumes, the diagonal
+    terms D themselves.
     """
     w = as_weights(alpha, fam.count)
     grid = DEFAULT_GRID if exponent_grid is None else tuple(float(p) for p in exponent_grid)
@@ -175,7 +175,7 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
     named += [power_mean(r, s) for r, s in power_means]
 
     values = [(diag[:, None] + offdiag[None, :]).ravel(), np.array(named)]
-    if float(off.max()) <= ORTHOGONAL_TOL * ln[_INF]:
+    if not off.any():
         # the bound is on the norm itself; its squared form is exactly
         # the diagonal term
         values.append(diag)
@@ -210,7 +210,7 @@ def vector_image_bound(alpha, fam: OperatorFamily, x, M: float) -> tuple[float, 
     xv, img = _probe_image(alpha, fam, x)
     lhs = float((np.abs(img) ** 2).sum())
     rhs = float((np.abs(xv) ** 2).sum()) * M
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
+    return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)
 
 
 def bilinear_bound(alpha, fam: OperatorFamily, x, y, M: float) -> tuple[float, float, bool]:
@@ -219,4 +219,4 @@ def bilinear_bound(alpha, fam: OperatorFamily, x, y, M: float) -> tuple[float, f
     yv = _probe_vector(y, fam.dim, "y")
     lhs = float(abs((img * yv.conj()).sum()) ** 2)
     rhs = float((np.abs(xv) ** 2).sum()) * float((np.abs(yv) ** 2).sum()) * M
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
+    return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)

@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--mode", choices=("operators", "vectors"),
                    help="require the problem file to be in this mode")
     v.add_argument("--grid", help="comma-separated exponents for the tunable entries")
-    v.add_argument("--tol", type=float, default=1e-9, help="relative tolerance for the checks")
+    v.add_argument("--tol", type=float, default=bounds.CHECK_TOL, help="relative tolerance for the catalog checks")
     v.add_argument("--kind", choices=harness.KINDS,
                    help="verify a generated instance of this kind instead of a file")
     v.add_argument("--dim", type=int, help="dimension for generated instances")

@@ -160,14 +160,14 @@ def _probes(dim: int, count: int) -> tuple[np.ndarray, ...]:
     return probes
 
 
-def verify_instance(alpha, fam: OperatorFamily, tol: float = 1e-9, *,
+def verify_instance(alpha, fam: OperatorFamily, tol: float = bounds.CHECK_TOL, *,
                     exponent_grid=None) -> VerificationResult:
     """Run every inequality in the catalog against one instance.
 
     Records, per check: name, the exact quantity being dominated, the
-    dominating quantity, whether it holds at the given relative
-    tolerance, and the slack ratio.  The PSD checks use the gap's own
-    limit (PsdGapResult.limit and inner_limit) rather than tol.
+    dominating quantity, whether it holds and the slack ratio.  tol is
+    the relative tolerance of the catalog checks alone: cbs_norm and the
+    probes hold at bounds.CHECK_TOL, the PSD checks at the gap's limits.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -184,7 +184,7 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = 1e-9, *,
     # one (name, lhs, bound, holds) row per check, in report order
     rows = [("psd_gap", -gap.min_eigenvalue, gap.limit, gap.holds),
             ("psd_gap_inner", -gap.inner_min_eigenvalue, gap.inner_limit, gap.inner_holds),
-            ("cbs_norm", lhs, rhs, lhs <= rhs * (1.0 + 1e-9))]
+            ("cbs_norm", lhs, rhs, lhs <= rhs * (1.0 + bounds.CHECK_TOL))]
     rows += [(_check_name(rep), rep.lhs_sq, rep.bound, rep.lhs_sq <= rep.bound * (1.0 + tol)) for rep in reports]
     rows += [(f"image_probe_{k}", *bounds.vector_image_bound(w, fam, x, m)) for k, x in enumerate(probes)]
     rows += [(f"bilinear_probe_{k}", *bounds.bilinear_bound(w, fam, x, probes[(k + 1) % len(probes)], m))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,19 @@ def test_orthogonal_entries_appear_only_for_orthogonal_families():
     dense_reps = catalog_reports(w, dense)
     assert len(dense_reps) == 61
     assert not any(r.name.startswith("orthogonal:") for r in dense_reps)
+
+
+@pytest.mark.parametrize("delta", [5e-11, 1e-13])
+def test_nearly_orthogonal_family_has_no_orthogonal_entries(delta):
+    # A_1 = e1 e1^*, A_2 = e1 v^* with v = delta e1 + sqrt(1 - delta^2) e2:
+    # A_1 A_2^* = delta e1 e1^* is small but not 0, and ||S||^2 = 2 + 2 delta
+    # for unit weights lies above the orthogonal bound 2
+    e1 = np.array([1.0, 0.0])
+    v = np.array([delta, math.sqrt(1.0 - delta**2)])
+    reps = catalog_reports([1.0, 1.0], OperatorFamily([np.outer(e1, e1), np.outer(e1, v)]))
+    assert not any(r.name.startswith("orthogonal:") for r in reps)
+    # every entry left is a bound, with no tolerance
+    assert all(r.lhs_sq <= r.bound for r in reps)
 
 
 def test_tightest_is_first_strict_minimum():

@@ -58,6 +58,18 @@ def test_bound_grid_option(ops_file, capsys):
     assert len(doc["bounds"]) == 15
 
 
+@pytest.mark.parametrize("second, rows", [([1.0, 1e-12, 0.0], 0), ([1.0, 0.0, 0.0], 7)])
+def test_bound_lists_orthogonal_entries_only_for_orthogonal_vectors(tmp_path, capsys, second, rows):
+    # <y_1, y_2> = 1e-12 is small but not 0: the orthogonal entries need
+    # exactly orthogonal vectors
+    path = tmp_path / "vec.json"
+    vecs = np.array([second, [0.0, 1.0, 0.0]], dtype=np.complex128)
+    write_problem(ProblemFile("1", 3, None, None, vecs), path)
+    assert main(["bound", "--input", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sum(b["name"].startswith("orthogonal:") for b in doc["bounds"]) == rows
+
+
 def test_bound_output_is_byte_stable(ops_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["bound", "--input", ops_file, "--out", str(a)]) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from opsumbounds.bounds import catalog_reports, slack_ratio, tightest_report
+from opsumbounds.cbs import OperatorFamily
 from opsumbounds.errors import InvalidSpec
 from opsumbounds.harness import (
     CSV_HEADER,
@@ -178,6 +179,25 @@ def test_verify_single_operator_slack_is_unit():
         if c.name.startswith(skip):
             continue
         assert c.slack_ratio == pytest.approx(1.0, rel=1e-9), c.name
+
+
+class _LowSumProducts(OperatorFamily):
+    """A family whose ||sum A_i A_i^*|| reads 1e-6 low: only the cbs_norm
+    check reads it."""
+
+    @property
+    def sum_products_norm(self) -> float:
+        return super().sum_products_norm * (1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-3])
+def test_tol_reaches_only_the_catalog_checks(tol):
+    # a single operator is a CBS equality case, so the low reading fails
+    # cbs_norm; a looser tol must not rescue it
+    w, fam, _ = generate(InstanceSpec("GaussianDense", 4, 1, 23))
+    low = _LowSumProducts(fam.ops)
+    res = verify_instance(w, low) if tol is None else verify_instance(w, low, tol)
+    assert [c.name for c in res.checks if not c.holds] == ["cbs_norm"]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-60, 1e60, 1e150])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import jacobi
 import opsumbounds
-from opsumbounds import bounds, cbs, errors, harness, linalg, problemio, vectors
+from opsumbounds import bounds, cbs, cli, errors, harness, linalg, problemio, vectors
 
 PACKAGE = Path(opsumbounds.__file__).resolve().parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
@@ -60,8 +60,9 @@ def test_no_module_uses_a_sibling_private_name():
 
 
 # each function and the parameters it does not take: the values are
-# DEFAULT_TOL, DEFAULT_MAX_ITER, PSD_TOL, ORTHOGONAL_TOL, the
-# harness's fixed probe salt, and the spec that generate's caller holds
+# DEFAULT_TOL, DEFAULT_MAX_ITER, PSD_TOL, the catalog's exact test that
+# every cross product is 0 (which needs no tolerance), the harness's
+# fixed probe salt, and the spec that generate's caller holds
 FIXED_KNOBS = [
     (linalg.spectral_norm, {"tol", "max_iter"}),
     (linalg.spectral_norms, {"tol", "max_iter"}),
@@ -81,6 +82,22 @@ def test_engine_tolerances_are_not_parameters():
     assert "tol" in inspect.signature(harness.verify_instance).parameters
     assert not hasattr(cbs, "cbs_norm_check") and not hasattr(bounds, "HolderPair")
     assert "spec" not in {f.name for f in dataclasses.fields(harness.VerificationResult)}
+
+
+def test_the_check_tolerance_is_spelled_once():
+    # the orthogonal entries need cross products of exactly 0, and every
+    # fixed check tolerance is bounds.CHECK_TOL
+    assert not hasattr(bounds, "ORTHOGONAL_TOL")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        named = {id(node.value): node.targets[0].id for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+        found += [(path.stem, named.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-9]
+    assert found == [("bounds", "CHECK_TOL")]
+    assert inspect.signature(harness.verify_instance).parameters["tol"].default is bounds.CHECK_TOL
+    assert cli.build_parser().parse_args(["verify"]).tol is bounds.CHECK_TOL
 
 
 def test_jacobi_lives_only_in_the_tests():
