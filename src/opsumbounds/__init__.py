@@ -14,6 +14,7 @@ from .bounds import (
     BoundReport,
     bilinear_bound,
     catalog_reports,
+    probe_checks,
     tightest_report,
     vector_image_bound,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "hermitian_eigenvalues",
     "load_problem",
     "loads_problem",
+    "probe_checks",
     "rank_one_family",
     "slack_sweep",
     "spectral_norm",

@@ -191,32 +191,46 @@ def tightest_report(reports) -> BoundReport:
     return min(reports, key=lambda rep: rep.bound)
 
 
-def _probe_vector(x, dim: int, where: str) -> np.ndarray:
+def _probe_vector(x, dim: int, where: str) -> tuple[np.ndarray, float]:
+    """The probe x as a checked array of dim entries, and ||x||^2."""
     xv = finite_array(x, 1, where)
     if xv.size != dim:
         raise DimensionMismatch(f"probe vector shape {xv.shape} does not match dimension {dim}")
-    return xv
+    return xv, float((np.abs(xv) ** 2).sum())
 
 
-def _probe_image(alpha, fam: OperatorFamily, x) -> tuple[np.ndarray, np.ndarray]:
-    """The probe x as an array and its image (sum alpha_i A_i) x."""
-    w = as_weights(alpha, fam.count)
-    xv = _probe_vector(x, fam.dim, "x")
-    return xv, np.einsum("i,iab,b->a", w, fam.ops, xv)
+def _probe_image(w: np.ndarray, fam: OperatorFamily, x, where: str) -> tuple[np.ndarray, float, np.ndarray]:
+    """_probe_vector(x) and the image (sum w_i A_i) x, for checked weights w.
+    One 3-operand einsum per probe: stacking the probes, or S @ x, gives other bits."""
+    xv, x_sq = _probe_vector(x, fam.dim, where)
+    return xv, x_sq, np.einsum("i,iab,b->a", w, fam.ops, xv)
+
+
+def _probe_check(img, x_sq: float, M: float, y=None) -> tuple[float, float, bool]:
+    """(lhs, bound, holds) of ||S x||^2 <= M ||x||^2 for img = S x, or, given
+    y's (y, ||y||^2, ...), of |(S x, y)|^2 <= M ||x||^2 ||y||^2."""
+    lhs, rhs = ((float((np.abs(img) ** 2).sum()), x_sq * M) if y is None
+                else (float(abs((img * y[0].conj()).sum()) ** 2), x_sq * y[1] * M))
+    return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)
 
 
 def vector_image_bound(alpha, fam: OperatorFamily, x, M: float) -> tuple[float, float, bool]:
     """Check ||sum alpha_i A_i x||^2 <= M ||x||^2 for a concrete x."""
-    xv, img = _probe_image(alpha, fam, x)
-    lhs = float((np.abs(img) ** 2).sum())
-    rhs = float((np.abs(xv) ** 2).sum()) * M
-    return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)
+    _, x_sq, img = _probe_image(as_weights(alpha, fam.count), fam, x, "x")
+    return _probe_check(img, x_sq, M)
 
 
 def bilinear_bound(alpha, fam: OperatorFamily, x, y, M: float) -> tuple[float, float, bool]:
     """Check |sum alpha_i (A_i x, y)|^2 <= M ||x||^2 ||y||^2."""
-    xv, img = _probe_image(alpha, fam, x)
-    yv = _probe_vector(y, fam.dim, "y")
-    lhs = float(abs((img * yv.conj()).sum()) ** 2)
-    rhs = float((np.abs(xv) ** 2).sum()) * float((np.abs(yv) ** 2).sum()) * M
-    return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)
+    _, x_sq, img = _probe_image(as_weights(alpha, fam.count), fam, x, "x")
+    return _probe_check(img, x_sq, M, _probe_vector(y, fam.dim, "y"))
+
+
+def probe_checks(alpha, fam: OperatorFamily, probes, M: float) -> list[tuple[float, float, bool]]:
+    """vector_image_bound(x_k) for each probe x_k, then bilinear_bound(x_k,
+    x_{(k+1) mod K}), with the same bits; the weights and each probe are
+    checked once, and each image is formed once."""
+    w = as_weights(alpha, fam.count)
+    checked = [_probe_image(w, fam, x, f"probes[{k}]") for k, x in enumerate(probes)]
+    pairs = [(x, None) for x in checked] + list(zip(checked, checked[1:] + checked[:1]))
+    return [_probe_check(img, x_sq, M, y) for (_, x_sq, img), y in pairs]

@@ -169,7 +169,7 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = bounds.CHECK_TOL, *
     the relative tolerance of the catalog checks alone: cbs_norm and the
     probes hold at bounds.CHECK_TOL, the PSD checks at the gap's limits.
     """
-    if not (tol > 0 and math.isfinite(tol)):
+    if isinstance(tol, (bool, np.bool_)) or not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     w = as_weights(alpha, fam.count)
     # the catalog checks the grid before anything is solved; its left side
@@ -186,9 +186,8 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = bounds.CHECK_TOL, *
             ("psd_gap_inner", -gap.inner_min_eigenvalue, gap.inner_limit, gap.inner_holds),
             ("cbs_norm", lhs, rhs, lhs <= rhs * (1.0 + bounds.CHECK_TOL))]
     rows += [(_check_name(rep), rep.lhs_sq, rep.bound, rep.lhs_sq <= rep.bound * (1.0 + tol)) for rep in reports]
-    rows += [(f"image_probe_{k}", *bounds.vector_image_bound(w, fam, x, m)) for k, x in enumerate(probes)]
-    rows += [(f"bilinear_probe_{k}", *bounds.bilinear_bound(w, fam, x, probes[(k + 1) % len(probes)], m))
-             for k, x in enumerate(probes)]
+    names = [f"{check}_probe_{k}" for check in ("image", "bilinear") for k in range(len(probes))]
+    rows += [(name, *row) for name, row in zip(names, bounds.probe_checks(w, fam, probes, m))]
     # a PSD gap's lhs is a negated eigenvalue, which may be negative
     checks = [CheckRecord(name, lhs, bound, holds, bounds.slack_ratio(max(lhs, 0.0), bound))
               for name, lhs, bound, holds in rows]

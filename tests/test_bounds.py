@@ -7,6 +7,7 @@ from opsumbounds import bounds
 from opsumbounds.bounds import (
     bilinear_bound,
     catalog_reports,
+    probe_checks,
     tightest_report,
     vector_image_bound,
 )
@@ -366,3 +367,21 @@ def test_probe_shape_rejection():
         bilinear_bound([1.0, np.nan], fam, np.ones(3), np.ones(3), 1.0)
     with pytest.raises(DimensionMismatch):
         vector_image_bound(w, fam, np.ones((1, 3)), 1.0)
+    # probe_checks raises the pair's class on each bad input, a bad
+    # probe being named by its place in the list
+    cases = [([1.0, np.nan], np.ones(3), ValueError, r"^weights\[1\] is not finite$"),
+             (w, [1.0, 2.0], DimensionMismatch, "does not match dimension 3"),
+             (w, np.ones((1, 3)), DimensionMismatch, r"^expected probes\[1\] as a nonempty 1-d array"),
+             (w, [0.0, np.inf, 0.0], ValueError, r"^probes\[1\]\[1\] is not finite$")]
+    for alpha, bad, cls, message in cases:
+        raised = []
+        for call in (lambda: vector_image_bound(alpha, fam, bad, 1.0),
+                     lambda: bilinear_bound(alpha, fam, bad, np.ones(3), 1.0),
+                     lambda: bilinear_bound(alpha, fam, np.ones(3), bad, 1.0),
+                     lambda: probe_checks(alpha, fam, [np.ones(3), bad], 1.0)):
+            with pytest.raises(cls) as exc:
+                call()
+            raised.append(type(exc.value))
+        assert raised == [cls] * 4
+        with pytest.raises(cls, match=message):
+            probe_checks(alpha, fam, [np.ones(3), bad], 1.0)

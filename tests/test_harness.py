@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from opsumbounds import bounds
 from opsumbounds.bounds import catalog_reports, slack_ratio, tightest_report
 from opsumbounds.cbs import OperatorFamily
 from opsumbounds.errors import InvalidSpec
@@ -220,13 +221,77 @@ def test_verify_records_share_one_slack_rule_and_one_worst_max(scale):
     assert res.all_hold == all(c.holds for c in res.checks)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-9, float("inf"), float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("inf"), float("nan"), True, np.True_])
 def test_verify_rejects_a_tol_that_is_not_finite_and_positive(tol):
     # with zero weights an infinite tol made every catalog check
-    # 0 <= 0 * inf = nan, a failure
+    # 0 <= 0 * inf = nan, a failure; True passes > 0 but is no tolerance
     _, fam, _ = generate(InstanceSpec("GaussianDense", 4, 2, 1))
     with pytest.raises(ValueError, match="tol"):
         verify_instance(np.zeros(2), fam, tol=tol)
+
+
+def _bits(rows):
+    return [(float(lhs).hex(), float(bound).hex(), holds) for lhs, bound, holds in rows]
+
+
+def _pair_rows(w, fam, probes, m):
+    k = len(probes)
+    return ([bounds.vector_image_bound(w, fam, x, m) for x in probes]
+            + [bounds.bilinear_bound(w, fam, x, probes[(j + 1) % k], m) for j, x in enumerate(probes)])
+
+
+# every kind, with n = 1 and d = 1 among the shapes
+PROBE_SPECS = [InstanceSpec(kind, d, n, seed) for kind in KINDS
+               for d, n in ((1, 1), (3, 1), (5, 2), (13, 4)) for seed in (0, 7)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.0, 1e-60, 1e60])
+def test_probe_rows_are_the_pair_bit_for_bit(scale):
+    # verify_instance's probe rows, then probe_checks at verify's tightest
+    # bound M and at 0, inf and nan, against the calls of
+    # vector_image_bound and bilinear_bound; a zero probe makes inf times
+    # its ||x||^2 nan
+    names = [f"image_probe_{k}" for k in range(9)] + [f"bilinear_probe_{k}" for k in range(9)]
+    for spec in PROBE_SPECS:
+        w, fam, _ = generate(spec)
+        w = w * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = verify_instance(w, fam)
+            m = tightest_report(catalog_reports(w, fam)).bound
+        probes = _probes(fam.dim, fam.count)
+        rows = [c for c in res.checks if "_probe_" in c.name]
+        assert [c.name for c in rows] == names
+        assert _bits((c.lhs, c.bound, c.holds) for c in rows) == _bits(_pair_rows(w, fam, probes, m)), spec
+        probes += (np.zeros(fam.dim),)
+        for bound in (m, 0.0, math.inf, math.nan):
+            want = _bits(_pair_rows(w, fam, probes, bound))
+            assert _bits(bounds.probe_checks(w, fam, probes, bound)) == want, (spec, bound)
+
+
+def test_verify_forms_each_probe_image_once(monkeypatch):
+    images, weight_checks = [], []
+    einsum, as_weights = np.einsum, bounds.as_weights
+
+    def counting_einsum(subscripts, *ops, **kw):
+        if subscripts == "i,iab,b->a":
+            images.append(ops[2])
+        return einsum(subscripts, *ops, **kw)
+
+    def counting_as_weights(z, n):
+        weight_checks.append(n)
+        return as_weights(z, n)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    monkeypatch.setattr(bounds, "as_weights", counting_as_weights)
+    w, fam, _ = generate(InstanceSpec("GaussianDense", 5, 3, 4))
+    verify_instance(w, fam)
+    # the catalog checks the weights once, and probe_checks once
+    assert (len(images), len(weight_checks)) == (9, 2)
+    # the pair keeps its work: one check of the weights and one image a call
+    del images[:], weight_checks[:]
+    bounds.vector_image_bound(w, fam, np.ones(5), 1.0)
+    bounds.bilinear_bound(w, fam, np.ones(5), np.ones(5), 1.0)
+    assert (len(images), len(weight_checks)) == (2, 2)
 
 
 def test_probes_are_cached_read_only_and_equal_a_fresh_draw():
