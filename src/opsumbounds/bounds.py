@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -50,27 +51,31 @@ class BoundReport(NamedTuple):
     slack_ratio: float
 
 
-def slack_ratio(lhs_sq: float, bound: float) -> float:
-    """bound / lhs_sq; 1 when both vanish, inf when only the left side does."""
-    if lhs_sq <= 0.0:
-        return 1.0 if bound <= 0.0 else math.inf
-    return bound / lhs_sq
+def slack_ratio(lhs_sq, bound) -> np.ndarray:
+    """bound / lhs_sq elementwise; 1 where both vanish, inf where only the left side does."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(lhs_sq <= 0.0, np.where(bound <= 0.0, 1.0, _INF), np.divide(bound, lhs_sq))
 
 
-def _lp_aggregate(values: np.ndarray, p: float) -> float:
-    """(sum v^(2p))^(1/p); p = inf gives the limit (max v)^2."""
+def _power_sums(values: np.ndarray, exps) -> dict:
+    """sum v^x for each distinct finite x of exps."""
+    return {x: float((values**x).sum()) for x in set(exps) if x != _INF}
+
+
+def _lp_aggregate(values: np.ndarray, sums: dict, p: float) -> float:
+    """(sum v^(2p))^(1/p), the sum from sums; p = inf gives the limit (max v)^2."""
     if p == _INF:
         return float(values.max()) ** 2
-    return float((values ** (2.0 * p)).sum()) ** (1.0 / p)
+    return sums[2.0 * p] ** (1.0 / p)
 
 
-def _pair_weight(wa: np.ndarray, r: float) -> float:
+def _pair_weight(wa: np.ndarray, sums: dict, r: float) -> float:
     """The ordered-pair weight factor sum_{i != j} |a_i|^r |a_j|^r, to the 1/r.
 
-    Expanded as (sum wa^r)^2 - sum wa^(2r), clamped at zero before the
-    outer power: the difference is nonnegative exactly but can round
-    slightly negative when a single weight dominates.  r = inf gives the
-    largest pair product instead.
+    Expanded as (sum wa^r)^2 - sum wa^(2r), the sums from sums, clamped
+    at zero before the outer power: the difference is nonnegative exactly
+    but can round slightly negative when a single weight dominates.
+    r = inf gives the largest pair product instead.
     """
     n = wa.size
     if r == _INF:
@@ -78,9 +83,8 @@ def _pair_weight(wa: np.ndarray, r: float) -> float:
             return 0.0
         top = np.partition(wa, n - 2)[n - 2 :]
         return float(top[0]) * float(top[1])
-    s1 = float((wa**r).sum())
-    s2 = float((wa ** (2.0 * r)).sum())
-    inside = s1 * s1 - s2
+    s1 = sums[r]
+    inside = s1 * s1 - sums[2.0 * r]
     if inside <= 0.0:
         return 0.0
     return inside ** (1.0 / r)
@@ -136,12 +140,12 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
     solved; the left side is solved before the norm data is read, so an
     OperatorFamily solves both in one pass.
 
-    Each aggregate is computed once per distinct exponent.  The master
-    entries are the table D[i] + O[j] of a diagonal term per diagonal
-    choice and an off-diagonal term per off-diagonal choice; the named
-    variants follow, and, when every cross product ||A_i A_j^*|| (i != j)
-    is exactly 0, as the paper's orthogonal bound assumes, the diagonal
-    terms D themselves.
+    Each aggregate, and each power sum sum v^x that aggregates share, is
+    computed once per distinct exponent.  The master entries are the
+    table D[i] + O[j] of a diagonal term per diagonal choice and an
+    off-diagonal term per off-diagonal choice; the named variants follow,
+    and, when every cross product ||A_i A_j^*|| (i != j) is exactly 0, as
+    the paper's orthogonal bound assumes, the diagonal terms D themselves.
     """
     w = as_weights(alpha, fam.count)
     grid = DEFAULT_GRID if exponent_grid is None else tuple(float(p) for p in exponent_grid)
@@ -154,9 +158,11 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
     np.fill_diagonal(off, 0.0)
     n = wa.size
 
-    lw = {p: _lp_aggregate(wa, p) for p in {p for p, _ in pairs}}
-    ln = {q: _lp_aggregate(na, q) for q in {q for _, q in pairs}}
-    pw = {r: _pair_weight(wa, r) for r in {r for r, _ in pairs}}
+    sw = _power_sums(wa, [x for p, _ in pairs for x in (p, 2.0 * p)])
+    sn = _power_sums(na, [2.0 * q for _, q in pairs])
+    lw = {p: _lp_aggregate(wa, sw, p) for p in {p for p, _ in pairs}}
+    ln = {q: _lp_aggregate(na, sn, q) for q in {q for _, q in pairs}}
+    pw = {r: _pair_weight(wa, sw, r) for r in {r for r, _ in pairs}}
     xa = {s: _cross_aggregate(off, s) for s in {s for _, s in pairs} | {2.0}}
     diag = np.array([lw[p] * ln[q] for p, q in pairs])
     offdiag = np.array([pw[r] * xa[s] for r, s in pairs])
@@ -180,8 +186,10 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
         # the diagonal term
         values.append(diag)
         labels = labels + orthogonal
-    return [BoundReport(name, exps, lhs, bound, slack_ratio(lhs, bound))
-            for (name, exps), bound in zip(labels, np.concatenate(values).tolist())]
+    values = np.concatenate(values)
+    names, exps = zip(*labels)
+    return list(map(BoundReport._make, zip(names, exps, repeat(lhs), values.tolist(),
+                                           slack_ratio(lhs, values).tolist())))
 
 
 def tightest_report(reports) -> BoundReport:

@@ -140,12 +140,6 @@ class VerificationResult:
     worst_violation: float
 
 
-def _violation(lhs: float, bound: float) -> float:
-    if bound > 0.0:
-        return max(lhs / bound - 1.0, 0.0)
-    return 0.0 if lhs <= 0.0 else float("inf")
-
-
 def _check_name(rep: bounds.BoundReport) -> str:
     return f"{rep.name}({rep.exponents})" if rep.exponents else rep.name
 
@@ -181,21 +175,22 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = bounds.CHECK_TOL, *
     m = bounds.tightest_report(reports).bound
     probes = _probes(fam.dim, fam.count)
 
-    # one (name, lhs, bound, holds) row per check, in report order
-    rows = [("psd_gap", -gap.min_eigenvalue, gap.limit, gap.holds),
-            ("psd_gap_inner", -gap.inner_min_eigenvalue, gap.inner_limit, gap.inner_holds),
-            ("cbs_norm", lhs, rhs, lhs <= rhs * (1.0 + bounds.CHECK_TOL))]
-    rows += [(_check_name(rep), rep.lhs_sq, rep.bound, rep.lhs_sq <= rep.bound * (1.0 + tol)) for rep in reports]
-    names = [f"{check}_probe_{k}" for check in ("image", "bilinear") for k in range(len(probes))]
-    rows += [(name, *row) for name, row in zip(names, bounds.probe_checks(w, fam, probes, m))]
-    # a PSD gap's lhs is a negated eigenvalue, which may be negative
-    checks = [CheckRecord(name, lhs, bound, holds, bounds.slack_ratio(max(lhs, 0.0), bound))
-              for name, lhs, bound, holds in rows]
-    return VerificationResult(
-        checks=checks,
-        all_hold=all(c.holds for c in checks),
-        worst_violation=max([0.0] + [_violation(c.lhs, c.bound) for c in checks]),
-    )
+    # the checks' names, left sides, bounds and verdicts as columns, in report order
+    probe_lhs, probe_bound, probe_holds = zip(*bounds.probe_checks(w, fam, probes, m))
+    names = ["psd_gap", "psd_gap_inner", "cbs_norm", *map(_check_name, reports),
+             *(f"{check}_probe_{k}" for check in ("image", "bilinear") for k in range(len(probes)))]
+    lhss = [-gap.min_eigenvalue, -gap.inner_min_eigenvalue, lhs, *[lhs] * len(reports), *probe_lhs]
+    rhss = [gap.limit, gap.inner_limit, rhs, *(rep.bound for rep in reports), *probe_bound]
+    holds = [gap.holds, gap.inner_holds, lhs <= rhs * (1.0 + bounds.CHECK_TOL),
+             *(lhs <= rep.bound * (1.0 + tol) for rep in reports), *probe_holds]
+    la, ra = np.array(lhss), np.array(rhss)
+    # a PSD gap's lhs, a negated eigenvalue, may be negative: the ratio reads it as 0;
+    # the violation is lhs/bound - 1 above 0, or inf for lhs > 0 over a bound that is not
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        violations = np.where(ra > 0.0, np.maximum(la / ra - 1.0, 0.0), np.where(la <= 0.0, 0.0, np.inf))
+    checks = list(map(CheckRecord._make, zip(names, lhss, rhss, holds, bounds.slack_ratio(la, ra).tolist())))
+    return VerificationResult(checks=checks, all_hold=all(holds),
+                              worst_violation=max([0.0] + violations.tolist()))
 
 
 def slack_sweep(specs, exponent_grid=None) -> list[tuple]:

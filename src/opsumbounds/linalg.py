@@ -74,11 +74,17 @@ def _squared_power(bs: np.ndarray) -> np.ndarray:
     Each slice is divided by its trace before every squaring, which
     keeps the top eigenvalue between 1/k^2 and 1, so nothing overflows
     and the dominant part never underflows.  A zero slice stays zero.
+
+    It multiplies both parts by 1/trace, the product numpy's complex
+    division by (trace, 0) forms, so only the sign of a zero can differ.
+    bs is read again by the caller, so only the products change in place.
     """
     c = bs
     for _ in range(_SQUARINGS):
         tr = c.trace(axis1=1, axis2=2).real
-        c = c / np.where(tr > 0.0, tr, 1.0)[:, None, None]
+        inv = (1.0 / np.where(tr > 0.0, tr, 1.0))[:, None, None]
+        parts = c.view(np.float64)
+        c = (parts * inv if c is bs else np.multiply(parts, inv, out=parts)).view(np.complex128)
         c = c @ c
     return c
 

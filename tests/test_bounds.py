@@ -1,5 +1,6 @@
 import math
 
+import catalog_reference
 import numpy as np
 import pytest
 
@@ -228,6 +229,50 @@ def test_zero_weights_give_unit_slack():
         assert rep.lhs_sq == 0.0
         assert rep.bound == 0.0
         assert rep.slack_ratio == 1.0
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _reference_catalog(monkeypatch, w, fam, grid):
+    # every aggregate forms its own power sums, as catalog_reference does
+    with monkeypatch.context() as patched:
+        patched.setattr(bounds, "_power_sums", lambda values, exps: {})
+        patched.setattr(bounds, "_lp_aggregate", catalog_reference.lp_aggregate)
+        patched.setattr(bounds, "_pair_weight", catalog_reference.pair_weight)
+        return catalog_reports(w, fam, grid)
+
+
+@pytest.mark.parametrize("grid", [None, (1.5, 3.0), (2.0, 4.0), (1.25, 2.5)])
+def test_shared_power_sums_match_the_per_aggregate_catalog(monkeypatch, grid):
+    # grids whose exponents coincide (2p of one entry is another), n = 1..8,
+    # weights whose powers overflow to inf and nan entries (1e60 at the
+    # default grid, 1e150 at every grid), zero weights, and a family whose
+    # sum cancels: the last two give a zero left side, so ratios of 1 and
+    # of inf; three orthogonal projections add the orthogonal entries
+    rng = PortableRng(8100)
+    cases = []
+    for n in range(1, 9):
+        w, fam = rng.complex_normal(n), OperatorFamily(rng.complex_normal((n, 4, 4)))
+        cases += [(w * scale, fam) for scale in (1e-60, 1.0, 1e60, 1e150, 0.0)]
+    a = rng.complex_normal((4, 4))
+    cases += [(np.ones(2), OperatorFamily(np.stack([a, -a]))), (np.ones(3), _projections(3))]
+    seen = set()
+    for w, fam in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = catalog_reports(w, fam, grid)
+            want = _reference_catalog(monkeypatch, w, fam, grid)
+        assert [(r.name, r.exponents) for r in got] == [(r.name, r.exponents) for r in want]
+        assert _bits([r.lhs_sq for r in got]) == _bits([r.lhs_sq for r in want])
+        assert _bits([r.bound for r in got]) == _bits([r.bound for r in want]), (w, grid)
+        ratios = [catalog_reference.slack_ratio(r.lhs_sq, r.bound) for r in want]
+        assert _bits([r.slack_ratio for r in got]) == _bits(ratios), (w, grid)
+        assert {type(x) for r in got for x in (r.bound, r.slack_ratio)} == {float}
+        seen |= {"nan" for r in got if math.isnan(r.bound)} | {"inf" for r in got if r.bound == math.inf}
+        seen |= {f"ratio {x}" for x in ratios if got[0].lhs_sq == 0.0}
+        seen |= {"orthogonal" for r in got if r.name.startswith("orthogonal:")}
+    assert seen == {"nan", "inf", "ratio 1.0", "ratio inf", "orthogonal"}
 
 
 # -- exponent validation -----------------------------------------------------

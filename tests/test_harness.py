@@ -2,11 +2,12 @@ import csv
 import hashlib
 import math
 
+import catalog_reference
 import numpy as np
 import pytest
 
 from opsumbounds import bounds
-from opsumbounds.bounds import catalog_reports, slack_ratio, tightest_report
+from opsumbounds.bounds import catalog_reports, tightest_report
 from opsumbounds.cbs import OperatorFamily
 from opsumbounds.errors import InvalidSpec
 from opsumbounds.harness import (
@@ -201,24 +202,29 @@ def test_tol_reaches_only_the_catalog_checks(tol):
     assert [c.name for c in res.checks if not c.holds] == ["cbs_norm"]
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-60, 1e60, 1e150])
+@pytest.mark.parametrize("scale", [1.0, 1e-60, 1e60, 1e150, 0.0, 1e-150])
 def test_verify_records_share_one_slack_rule_and_one_worst_max(scale):
     # at 1e60 and 1e150 the catalog's unscaled powers overflow, which puts
-    # inf and nan entries into it: both rules are checked on those too
-    w, fam, _ = generate(InstanceSpec("GaussianDense", 12, 4, 3))
-    with np.errstate(over="ignore"):
-        res = verify_instance(w * scale, fam)
-    worst = 0.0
-    for c in res.checks:
-        want = slack_ratio(max(c.lhs, 0.0), c.bound)
-        assert np.array_equal(c.slack_ratio, want, equal_nan=True), c
-        if c.bound > 0.0:
-            violation = max(c.lhs / c.bound - 1.0, 0.0)
-        else:
-            violation = 0.0 if c.lhs <= 0.0 else math.inf
-        worst = max(worst, violation)
-    assert np.array_equal(res.worst_violation, worst, equal_nan=True)
-    assert res.all_hold == all(c.holds for c in res.checks)
+    # inf and nan entries into it; zero weights give zero left sides and
+    # bounds; n = 1 and BlockOrthogonal add the orthogonal entries: the
+    # array rules must give the scalar rules' bits on all of those
+    for spec, size in ((InstanceSpec("GaussianDense", 12, 4, 3), 82), (InstanceSpec("GaussianDense", 12, 1, 3), 89),
+                       (InstanceSpec("BlockOrthogonal", 12, 4, 3), 89)):
+        w, fam, _ = generate(spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = verify_instance(w * scale, fam)
+        assert len(res.checks) == size
+        worst = 0.0
+        for c in res.checks:
+            want = catalog_reference.slack_ratio(max(c.lhs, 0.0), c.bound)
+            assert float(c.slack_ratio).hex() == float(want).hex(), c
+            assert type(c.slack_ratio) is float and type(c.holds) is bool, c
+            # a PSD verdict is lo >= -limit, which is lhs <= bound exactly
+            tol = 0.0 if c.name.startswith("psd_gap") else bounds.CHECK_TOL
+            assert c.holds == (c.lhs <= c.bound * (1.0 + tol)), c
+            worst = max(worst, catalog_reference.violation(c.lhs, c.bound))
+        assert float(res.worst_violation).hex() == float(worst).hex()
+        assert res.all_hold == all(c.holds for c in res.checks)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("inf"), float("nan"), True, np.True_])

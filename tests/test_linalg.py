@@ -10,10 +10,12 @@ route, and checks both.
 import jacobi
 import numpy as np
 import pytest
+import squaring
 
 from opsumbounds import linalg
 from opsumbounds.cbs import OperatorFamily
 from opsumbounds.errors import DimensionMismatch, NoConvergence, NotHermitian
+from opsumbounds.harness import KINDS, InstanceSpec, generate
 from opsumbounds.rng import PortableRng
 
 # np.linalg.svd largest singular value of PortableRng(2024).complex_normal((5, 3))
@@ -561,3 +563,83 @@ def test_round_robin_schedule(n):
         slots = np.concatenate([slots[:1], slots[-1:], slots[1:-1]])
     assert len(met) == n * (n - 1) // 2
     assert np.array_equal(slots, np.arange(n))
+
+
+def _assert_squaring_is_the_division(monkeypatch, ms) -> None:
+    """spectral_norms(ms) carries the same bits, sign bits included, with
+    the division-based squaring patched in, and the two squarings are
+    equal as values (a zero's sign may differ)."""
+    got = linalg.spectral_norms(ms)
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "_squared_power", squaring.divided_squared_power)
+        ref = linalg.spectral_norms(ms)
+    assert got.tobytes() == ref.tobytes(), (got, ref)
+    scaled, _ = linalg.pow2_scale(ms)
+    bs = linalg._hermitian_products(scaled)
+    mine, theirs = linalg._squared_power(bs), squaring.divided_squared_power(bs)
+    assert np.array_equal(mine, theirs)
+
+
+def test_squaring_matches_the_division_on_every_kind_of_norm_pass(monkeypatch):
+    # the stack each generated family's norm pass solves, left side
+    # included; BlockOrthogonal's off-diagonal products are exactly zero
+    # slices, and zero entries are where the two squarings' zero signs
+    # can differ
+    stacks = []
+    solve = linalg.spectral_norms
+
+    def recorded(ms):
+        stacks.append(ms.copy())
+        return solve(ms)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "spectral_norms", recorded)
+        for kind in KINDS:
+            for d, n, seed in ((1, 1, 0), (5, 1, 1), (6, 3, 2), (13, 4, 3), (16, 6, 4)):
+                w, fam, _ = generate(InstanceSpec(kind, d, n, seed))
+                OperatorFamily(fam.ops).weighted_sum_norm(w)
+    assert len(stacks) == 5 * len(KINDS)
+    for ms in stacks:
+        _assert_squaring_is_the_division(monkeypatch, ms)
+
+
+def _signed_zero_stack():
+    # -0.0 entries in an ordinary slice, a slice of -0.0 only, and a row
+    # of -0.0 real parts beside +0.0 imaginary ones
+    ms = PortableRng(6100).complex_normal((3, 4, 4))
+    ms[0, ::2] = complex(-0.0, -0.0)
+    ms[1] = complex(-0.0, -0.0)
+    ms[2, 1] = complex(-0.0, 0.0)
+    return ms
+
+
+def _binary_scaled_stack():
+    m = PortableRng(6200).complex_normal((5, 5))
+    return np.stack([m * 2.0**600, m * 2.0**-600, m])
+
+
+def _subnormal_stack():
+    # subnormal entries beside unit ones, and a slice of subnormals only
+    ms = PortableRng(6300).complex_normal((2, 4, 4))
+    ms[0, 0, :2] = [5e-324, complex(1e-310, -2e-320)]
+    ms[1] *= 1e-310
+    return ms
+
+
+EDGE_STACKS = {
+    "signed_zeros": _signed_zero_stack,
+    "two_to_600": _binary_scaled_stack,
+    "subnormal": _subnormal_stack,
+    # the 1e-9 slice falls back to LAPACK, which reads B itself
+    "near_degenerate": lambda: _near_degenerate(8, (1e-9, 1e-3), 6400),
+    "fallback_square": lambda: _norm_fallback_stacks()[0],
+    "fallback_wide": lambda: _norm_fallback_stacks()[1],
+}
+
+
+@pytest.mark.parametrize("name", EDGE_STACKS)
+def test_squaring_matches_the_division_on_edge_stacks(monkeypatch, name):
+    ms = EDGE_STACKS[name]()
+    _assert_squaring_is_the_division(monkeypatch, ms)
+    _, fallbacks = _spectral_norms_and_fallbacks(monkeypatch, [ms])
+    assert bool(fallbacks) == (name in ("near_degenerate", "fallback_square", "fallback_wide"))
