@@ -37,8 +37,9 @@ class OperatorFamily:
     The norm caches exist because the whole point of the bound catalog
     is to avoid touching the assembled sum: every bound is arithmetic
     over ||A_i|| and ||A_i A_j^*||, so those are computed once, in one
-    batched power-iteration pass, on first use; ||sum z_i A_i|| rides in
-    that pass as one more slice when it comes first (weighted_sum_norm).
+    batched norm pass (linalg.spectral_norms), on first use; ||sum z_i
+    A_i|| rides in that pass as one more slice when it comes first
+    (weighted_sum_norm).
     """
 
     def __init__(self, ops):

@@ -8,8 +8,8 @@ Three subcommands:
 * ``sweep``   tabulate slack ratios over generated instances as CSV
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad input, an
-instance too large for memory or an arithmetic overflow, 3 a norm
-iteration did not converge.
+instance too large for memory or an arithmetic overflow, 3 LAPACK's
+singular value or eigenvalue solver did not converge.
 
 Reports are emitted with fixed key order, two-space indent, LF line
 endings, and 17 significant digits, so identical invocations produce

@@ -18,7 +18,7 @@ class NotHermitian(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """An iterative routine ran out of iterations."""
+    """A LAPACK solver did not converge."""
 
 
 class InvalidExponent(ValueError):

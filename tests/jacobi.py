@@ -1,7 +1,8 @@
 """The round-robin Jacobi eigensolver, kept as a test oracle.
 
-It shares no code with either of the package's eigenvalue routes (power
-iteration and LAPACK), so the tests check both against it.
+It shares no code with either of the package's LAPACK routes (the
+singular values that give the spectral norms, and the Hermitian
+eigenvalues), so the tests check both against it.
 """
 
 from functools import lru_cache

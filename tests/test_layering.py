@@ -60,7 +60,7 @@ def test_no_module_uses_a_sibling_private_name():
 
 
 # each function and the parameters it does not take: the values are
-# DEFAULT_TOL, DEFAULT_MAX_ITER, PSD_TOL, the catalog's exact test that
+# LAPACK's own, DEFAULT_TOL, PSD_TOL, the catalog's exact test that
 # every cross product is 0 (which needs no tolerance), the harness's
 # fixed probe salt, and the spec that generate's caller holds
 FIXED_KNOBS = [
@@ -104,6 +104,16 @@ def test_jacobi_lives_only_in_the_tests():
     # LAPACK solves the eigenvalues; the round-robin Jacobi is the tests' oracle
     assert not {"_jacobi_stack", "_round_robin", "_MAX_SWEEPS"} & set(vars(linalg))
     assert list(inspect.signature(jacobi._jacobi_stack).parameters) == ["ws"]
+
+
+def test_power_iteration_is_gone():
+    # LAPACK's SVD solves the norms: no power steps, squarings, budget or
+    # fallback remain, and a single norm reports no iterations
+    gone = {"_perturbation", "_hermitian_products", "_SQUARINGS", "_squared_power", "_unit_rows",
+            "_power_stack", "DEFAULT_MAX_ITER", "_TINY"}
+    assert not gone & set(vars(linalg))
+    assert [f.name for f in dataclasses.fields(linalg.SpectralNormResult)] == ["value", "iterations"]
+    assert linalg.spectral_norm([[3.0, 0.0], [0.0, 4.0]]) == linalg.SpectralNormResult(4.0, 0)
 
 
 def test_families_are_taken_as_given():
