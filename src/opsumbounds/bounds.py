@@ -116,14 +116,17 @@ def _catalog_table(grid: tuple[float, ...]):
             raise InvalidExponent(f"grid entries must be finite, > 1 and have a conjugate > 1, got {p}")
     pairs = [(_INF, 1.0), *((p, p / (p - 1.0)) for p in grid), (1.0, _INF)]
     power_means = [(r, s) for r, s in pairs[1:-1] if r <= 2.0]
-    diag = [(MAX_WEIGHT, "")] + [("holder", f"p={p:g},q={q:g}") for p, q in pairs[1:-1]] + [(MAX_NORM, "")]
+    holder = [f"p={p:g},q={q:g}" for p, q in pairs[1:-1]]
     # one label on two entries would give rows that cannot be told apart
-    if len(set(diag)) < len(diag):
-        raise InvalidExponent(f"grid entries must have distinct labels at %g, got {grid}")
+    for k, label in enumerate(holder):
+        if label in holder[:k]:
+            raise InvalidExponent(f"grid entries must have distinct labels, got {grid[holder.index(label)]} "
+                                  f"and {grid[k]}, both labelled {label}")
+    diag = [(MAX_WEIGHT, "")] + [("holder", exps) for exps in holder] + [(MAX_NORM, "")]
     off = [(MAX_PAIR, "")] + [("holder", f"r={r:g},s={s:g}") for r, s in pairs[1:-1]] + [(MAX_CROSS, "")]
     labels = [(f"master:{dn}+{on}", ";".join(e for e in (de, oe) if e)) for dn, de in diag for on, oe in off]
     labels.append(("cross_total", ""))
-    labels += [("holder_count", exps) for _, exps in diag[1:-1]]
+    labels += [("holder_count", exps) for exps in holder]
     labels += [("max_terms", ""), ("l2_cross", "r=2,s=2"), ("l1_cross", "")]
     labels += [("power_mean_cross", f"r={r:g},s={s:g}") for r, s in power_means]
     orthogonal = [(f"orthogonal:{dn}", de) for dn, de in diag]

@@ -7,9 +7,9 @@ S = sum z_i A_i satisfies, in the PSD order,
 
 with both sides PSD.  This module materializes the gap between the two
 sides and tests it.  Its scalar norm consequence
-||S||^2 <= (sum |z_i|^2) ||sum A_i A_i^*|| reads both sides from one
-family's norm pass (OperatorFamily.weighted_sum_norm and
-sum_products_norm).
+||S||^2 <= (sum |z_i|^2) ||sum A_i A_i^*|| takes its left side from the
+family's norm pass (OperatorFamily.weighted_sum_norm) and its right side
+from one solve of the cached sum (sum_products_norm).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class OperatorFamily:
     over ||A_i|| and ||A_i A_j^*||, so those are computed once, in one
     batched norm pass (linalg.spectral_norms), on first use; ||sum z_i
     A_i|| rides in that pass as one more slice when it comes first
-    (weighted_sum_norm).
+    (weighted_sum_norm).  ||A_i A_i^*|| is ||A_i||^2: no slice of its own.
     """
 
     def __init__(self, ops):
@@ -60,26 +60,26 @@ class OperatorFamily:
         return np.einsum("iab,icb->ac", self.ops, self.ops.conj())
 
     def _norm_pass(self, extra: np.ndarray):
-        """(norm data, norms of extra's slices) from one spectral_norms call; each
-        slice is solved on its own, so extra changes no bit of the norm data.
+        """((norms, cross), norms of extra's slices) from one spectral_norms call;
+        each slice is solved on its own, so extra changes no bit of the norm data.
 
-        The stack [A_i A_j^* for i <= j, A_1..A_n, sum A_i A_i^*, extra]
-        is allocated once and filled in place, so no slice is held twice.
+        The stack [A_i A_j^* for i < j, A_1..A_n, extra] is allocated once and
+        filled in place, so no slice is held twice; cross's diagonal is norms**2.
         """
         n = self.count
         iu, ju = _upper_pairs(n)
         p = iu.size
         m = p + n
-        stack = np.empty((m + 1 + len(extra), self.dim, self.dim), dtype=np.complex128)
+        stack = np.empty((m + len(extra), self.dim, self.dim), dtype=np.complex128)
         np.einsum("kab,kcb->kac", self.ops[iu], self.ops.conj()[ju], out=stack[:p])
         stack[p:m] = self.ops
-        stack[m] = self.sum_products
-        stack[m + 1 :] = extra
+        stack[m:] = extra
         values = linalg.spectral_norms(stack)
-        cross = np.zeros((n, n))
+        norms = values[p:m]
+        cross = np.diag(norms * norms)
         cross[iu, ju] = values[:p]
         cross[ju, iu] = values[:p]
-        return (values[p:m], cross, float(values[m])), values[m + 1 :]
+        return (norms, cross), values[m:]
 
     @cached_property
     def _norm_data(self):
@@ -100,20 +100,20 @@ class OperatorFamily:
 
     @property
     def cross(self) -> np.ndarray:
-        """Full n x n table of ||A_i A_j^*||, diagonal included."""
+        """Full n x n table of ||A_i A_j^*||; its diagonal is norms**2."""
         return self._norm_data[1]
 
     @property
     def sum_products_norm(self) -> float:
-        """||sum A_i A_i^*||."""
-        return self._norm_data[2]
+        """||sum A_i A_i^*||, solved alone on each read: no catalog bound reads it."""
+        return float(linalg.spectral_norms(self.sum_products[None])[0])
 
 
 @lru_cache(maxsize=64)
 def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     # ||A_i A_j^*|| = ||A_j A_i^*|| (adjoint invariance), so only the
-    # upper triangle goes through the norm computation; cached, read-only
-    iu, ju = np.triu_indices(n)
+    # pairs i < j go through the norm computation; cached, read-only
+    iu, ju = np.triu_indices(n, 1)
     iu.flags.writeable = False
     ju.flags.writeable = False
     return iu, ju

@@ -152,6 +152,8 @@ def _cmd_verify(args) -> int:
     else:
         if args.kind is None or args.dim is None or args.count is None:
             raise SchemaError("verify needs --input, or all of --kind, --dim, --count")
+        if args.mode is not None:
+            raise SchemaError("verify takes --mode only with --input: a generated instance has no file mode")
         seed = 0 if args.seed is None else _parse_seed_single(args.seed)
         spec = harness.InstanceSpec(kind=args.kind, dim=args.dim, count=args.count, seed=seed)
         weights, family, _ = harness.generate(spec)

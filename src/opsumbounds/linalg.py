@@ -64,15 +64,6 @@ def spectral_norms(ms) -> np.ndarray:
     return np.ldexp(top, exps)
 
 
-def _eigvalsh(ws: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each slice of a Hermitian stack, by
-    LAPACK; its failure to converge is raised as NoConvergence."""
-    try:
-        return np.linalg.eigvalsh(ws)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigenvalue solver did not converge: {exc}") from exc
-
-
 def _require_hermitian(stack: np.ndarray) -> None:
     asym = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     scale = np.abs(stack).max(axis=(1, 2))
@@ -101,4 +92,8 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     scaled, exps = pow2_scale(stack)
     _require_hermitian(scaled)
     w = 0.5 * (scaled + scaled.conj().transpose(0, 2, 1))
-    return np.ldexp(_eigvalsh(w), exps[:, None])
+    try:
+        eigs = np.linalg.eigvalsh(w)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalue solver did not converge: {exc}") from exc
+    return np.ldexp(eigs, exps[:, None])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import catalog_reference
 import numpy as np
@@ -343,7 +344,15 @@ def test_conjugate_exponents_and_sentinels_in_catalog_labels():
     assert ("master:max_norm+max_cross", "") in labels
 
 
-@pytest.mark.parametrize("grid", [(1.5, 1.5000001), (2.0, 2.0), (3.0, 1.25, 3.0000000001)])
+# each grid's message names the two entries and the label they both print
+SHARED_LABELS = {
+    (1.5, 1.5000001): "got 1.5 and 1.5000001, both labelled p=1.5,q=3",
+    (2.0, 2.0): "got 2.0 and 2.0, both labelled p=2,q=2",
+    (3.0, 1.25, 3.0000000001): "got 3.0 and 3.0000000001, both labelled p=3,q=1.5",
+}
+
+
+@pytest.mark.parametrize("grid", list(SHARED_LABELS))
 def test_grid_rejects_entries_that_share_a_label(grid, monkeypatch):
     # labels print p and q at %g, so these entries would give catalog rows
     # that share a (name, exponents) label and differ in value
@@ -354,7 +363,8 @@ def test_grid_rejects_entries_that_share_a_label(grid, monkeypatch):
 
     w, fam = _random_instance(6, d=3, n=3)
     monkeypatch.setattr(linalg, "spectral_norms", never)
-    with pytest.raises(InvalidExponent, match="distinct labels"):
+    whole = f"grid entries must have distinct labels, {SHARED_LABELS[grid]}"
+    with pytest.raises(InvalidExponent, match=f"^{re.escape(whole)}$"):
         catalog_reports(w, fam, exponent_grid=grid)
 
 

@@ -153,7 +153,8 @@ def test_norm_check_survives_near_degenerate_top_pair():
 def test_upper_pairs_are_cached_and_read_only():
     iu, ju = _upper_pairs(4)
     assert _upper_pairs(4)[0] is iu and _upper_pairs(4)[1] is ju
-    ref_i, ref_j = np.triu_indices(4)
+    # the diagonal pairs are left out: ||A_i A_i^*|| is ||A_i||^2
+    ref_i, ref_j = np.triu_indices(4, 1)
     assert np.array_equal(iu, ref_i) and np.array_equal(ju, ref_j)
     # a shared cached array must not be written through
     with pytest.raises(ValueError):
@@ -190,10 +191,11 @@ def test_catalog_left_side_shares_the_norm_pass(monkeypatch):
     n = 4
     w, fam = _random_instance(77, d=5, n=n)
     fresh = OperatorFamily(fam.ops)
-    expected = fresh.norms, fresh.cross, fresh.sum_products_norm
+    expected = fresh.norms, fresh.cross
     calls = _count_norm_calls(monkeypatch)
     first = bounds.catalog_reports(w, fam)
-    assert calls == [n * (n + 1) // 2 + n + 2]
+    # the pairs i < j, the members and the left side
+    assert calls == [n * (n - 1) // 2 + n + 1]
     # cached norm data: only the assembled sum is solved
     again = bounds.catalog_reports(2.0 * w, fam)
     assert calls[1:] == [1]
@@ -201,7 +203,6 @@ def test_catalog_left_side_shares_the_norm_pass(monkeypatch):
     # the bits of a pass without the left side
     assert fam.norms.tobytes() == expected[0].tobytes()
     assert fam.cross.tobytes() == expected[1].tobytes()
-    assert fam.sum_products_norm == expected[2]
     assert len(calls) == 2
     alone = float(np.linalg.norm(fam.weighted_sum(w), 2)) ** 2
     assert first[0].lhs_sq == pytest.approx(alone, rel=1e-10)
@@ -221,7 +222,8 @@ def test_norm_check_takes_its_left_side_from_the_norm_pass(monkeypatch):
     reports = bounds.catalog_reports(w, OperatorFamily(fam.ops))
     calls = _count_norm_calls(monkeypatch)
     rec = _cbs_norm_record(w, fam)
-    assert calls == [3 * 4 // 2 + 3 + 2]
+    # the norm pass with the left side, then ||sum A_i A_i^*|| alone
+    assert calls == [3 * 2 // 2 + 3 + 1, 1]
     assert rec.holds and rec.lhs == reports[0].lhs_sq
     assert rec.bound == _norm_check(w, fam)[1]
 
@@ -230,7 +232,7 @@ def _concatenated_stack(fam, extra):
     # the norm-pass stack as it was built before it was filled in place
     iu, ju = _upper_pairs(fam.count)
     pairs = np.einsum("kab,kcb->kac", fam.ops[iu], fam.ops.conj()[ju])
-    return np.concatenate([pairs, fam.ops, fam.sum_products[None], extra])
+    return np.concatenate([pairs, fam.ops, extra])
 
 
 @pytest.mark.parametrize("kind, d, n", [
@@ -265,8 +267,33 @@ def test_norm_pass_stack_is_bytewise_the_concatenation(monkeypatch, kind, d, n, 
     assert len(seen) == 1
     assert seen[0].shape == expected.shape and seen[0].tobytes() == expected.tobytes()
     if kind == "BlockOrthogonal":
-        # the off-diagonal pair products of orthogonal blocks are exactly zero
-        assert not seen[0][1:n].any()
+        # the pair products of orthogonal blocks are exactly zero
+        assert not seen[0][: n * (n - 1) // 2].any()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_cross_diagonal_is_the_squared_norms(kind, scale):
+    # ||A_i A_i^*|| = ||A_i||^2 exactly, so the table's diagonal carries
+    # the bits of the squared norms, not of a second solve
+    for d, n, seed in ((5, 1, 0), (4, 3, 1), (6, 4, 2), (9, 6, 3)):
+        _, gen, _ = generate(InstanceSpec(kind, d, n, seed))
+        fam = OperatorFamily(gen.ops * scale)
+        assert np.diag(fam.cross).tobytes() == (fam.norms**2).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_catalog_forms_no_sum_of_products(kind, monkeypatch):
+    # no bound reads sum A_i A_i^*: the catalog neither forms nor solves it
+    w, gen, _ = generate(InstanceSpec(kind, 5, 3, 4))
+    fam = OperatorFamily(gen.ops)
+    calls = _count_norm_calls(monkeypatch)
+    bounds.catalog_reports(w, fam)
+    assert "sum_products" not in fam.__dict__
+    assert calls == [3 * 2 // 2 + 3 + 1]
+    fresh = OperatorFamily(gen.ops)
+    fresh.norms
+    assert calls[1:] == [3 * 2 // 2 + 3]
 
 
 def test_norm_pass_holds_at_most_three_stacks():
@@ -275,7 +302,7 @@ def test_norm_pass_holds_at_most_three_stacks():
     n, d = 8, 64
     w, gen, _ = generate(InstanceSpec("GaussianDense", d, n, 1))
     fam = OperatorFamily(gen.ops)
-    stack_bytes = (n * (n + 1) // 2 + n + 2) * d * d * 16
+    stack_bytes = (n * (n - 1) // 2 + n + 1) * d * d * 16
     tracemalloc.start()
     try:
         fam.weighted_sum_norm(w)

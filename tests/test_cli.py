@@ -212,6 +212,9 @@ def test_bad_inputs_exit_2(ops_file, tmp_path, capsys):
     assert "--kind, --dim, --count" in capsys.readouterr().err
     assert main(["verify", "--input", ops_file, "--seed", "0"]) == 2
     assert "--seed" in capsys.readouterr().err
+    # and the spec route takes no file mode
+    assert main(["verify", "--kind", "GaussianDense", "--dim", "4", "--count", "3", "--mode", "vectors"]) == 2
+    assert "--mode" in capsys.readouterr().err
     # %g labels both entries p=1.5,q=3
     assert main(["bound", "--input", ops_file, "--grid", "1.5,1.5000001"]) == 2
     assert main(["verify", "--input", ops_file, "--grid", "2,2"]) == 2
@@ -405,12 +408,12 @@ FROZEN_DIGESTS = {
     "verify:operators": (0, "3356961f6e336b3186ea19018a19afc3d823fd1fdb66624975841682d529e728"),
     "verify:vectors": (0, "6d10f000e61e07dad39cbecf28476d9511642fe20c7273f387902d6284a3cc13"),
     "verify:vectors_weighted": (0, "00baa5ef3e4243cef9d02b5b33f85a2c3ce0539ab8a358a3edb4a1c18ec46299"),
-    "verify:GaussianDense": (0, "fee4790bf621d1c52ed72ac9a0f20b5bd172aedc1e8dd135feae0874c1db664b"),
+    "verify:GaussianDense": (0, "f427919313194df05e468ad345c970814450b291ffa6d7a1c1314cbd5590f8c3"),
     "verify:UnitaryScaled": (0, "73e0fb7b6c51ea887feab6b1394e3be86d187b63bb3261a323cc1fc176b66dda"),
-    "verify:RankOneFromVectors": (0, "a9fbf7aee8a1ed5169541ba966d66c36fbd72190bbf30a8e36f5e73d7ee3a740"),
+    "verify:RankOneFromVectors": (0, "f511c416bef0d516c61af0d836952c3d145b4c07fe72589c99c3ed96b6edc9db"),
     "verify:BlockOrthogonal": (0, "1e8bf63e43d163ca72ea3343f0506cd883ed0cc7cf98b8276aaac261016adb25"),
     "verify:OrthonormalRankOne": (0, "db2005753a9876e1605019df8d9c3b28a0f2fd15dc2af99cbfec4f7e5c7f33fc"),
-    "sweep": (0, "1c713b59c881a1eaaab1dc34b744f5412ff1e81ecc8da98c514f7aa5e1b40630"),
+    "sweep": (0, "5f54e20cf1e6bc337b01b8a19b0a09dc18b32ad17a555fb44505a80684e05aba"),
 }
 
 
