@@ -99,16 +99,19 @@ def _cross_aggregate(off: np.ndarray, s: float) -> float:
 
 @lru_cache(maxsize=16)
 def _catalog_table(grid: tuple[float, ...]):
-    """The exponent pairs and (name, exponents) labels of one grid, after
-    the check of its entries and of their labels.
+    """The grid-only part of the catalog, after the check of the grid's
+    entries and labels: the exponent and power-mean pairs, the exponents
+    of each aggregate and power sum, and two sets of label columns.
 
     The diagonal choices (max_weight, Holder, max_norm) and the
     off-diagonal ones (max_pair, Holder, max_cross) share one list of
     conjugate pairs 1/p + 1/q = 1, the max-based limiting cases being
-    the sentinels (inf, 1) and (1, inf).  The labels run in catalog
-    order: the master table row by row, then the named variants; the
-    orthogonal labels come separately.
+    the sentinels (inf, 1) and (1, inf).  The name and exponents columns
+    run in catalog order: the master table row by row, the named variants
+    and, in the second set only, the orthogonal entries.
     """
+    if not grid:
+        raise InvalidExponent("empty exponent grid")
     for p in grid:
         # between 2^53 and 2^54 the conjugate p / (p - 1) starts to round
         # to 1, which leaves no Holder pair of finite exponents
@@ -130,7 +133,9 @@ def _catalog_table(grid: tuple[float, ...]):
     labels += [("max_terms", ""), ("l2_cross", "r=2,s=2"), ("l1_cross", "")]
     labels += [("power_mean_cross", f"r={r:g},s={s:g}") for r, s in power_means]
     orthogonal = [(f"orthogonal:{dn}", de) for dn, de in diag]
-    return pairs, power_means, labels, orthogonal
+    ps, qs = frozenset(p for p, _ in pairs), frozenset(q for _, q in pairs)
+    exps = ps, qs, qs | {2.0}, [x for p in ps for x in (p, 2.0 * p)], [2.0 * q for q in qs]
+    return pairs, power_means, exps, (tuple(zip(*labels)), tuple(zip(*(labels + orthogonal))))
 
 
 def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
@@ -152,7 +157,7 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
     """
     w = as_weights(alpha, fam.count)
     grid = DEFAULT_GRID if exponent_grid is None else tuple(float(p) for p in exponent_grid)
-    pairs, power_means, labels, orthogonal = _catalog_table(grid)
+    pairs, power_means, (ps, qs, ss, w_exps, n_exps), columns = _catalog_table(grid)
     lhs = fam.weighted_sum_norm(w) ** 2
     wa = np.abs(w)
     na = fam.norms
@@ -161,12 +166,12 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
     np.fill_diagonal(off, 0.0)
     n = wa.size
 
-    sw = _power_sums(wa, [x for p, _ in pairs for x in (p, 2.0 * p)])
-    sn = _power_sums(na, [2.0 * q for _, q in pairs])
-    lw = {p: _lp_aggregate(wa, sw, p) for p in {p for p, _ in pairs}}
-    ln = {q: _lp_aggregate(na, sn, q) for q in {q for _, q in pairs}}
-    pw = {r: _pair_weight(wa, sw, r) for r in {r for r, _ in pairs}}
-    xa = {s: _cross_aggregate(off, s) for s in {s for _, s in pairs} | {2.0}}
+    sw = _power_sums(wa, w_exps)
+    sn = _power_sums(na, n_exps)
+    lw = {p: _lp_aggregate(wa, sw, p) for p in ps}
+    ln = {q: _lp_aggregate(na, sn, q) for q in qs}
+    pw = {r: _pair_weight(wa, sw, r) for r in ps}
+    xa = {s: _cross_aggregate(off, s) for s in ss}
     diag = np.array([lw[p] * ln[q] for p, q in pairs])
     offdiag = np.array([pw[r] * xa[s] for r, s in pairs])
 
@@ -184,15 +189,15 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
     named += [power_mean(r, s) for r, s in power_means]
 
     values = [(diag[:, None] + offdiag[None, :]).ravel(), np.array(named)]
-    if not off.any():
+    orthogonal = not off.any()
+    if orthogonal:
         # the bound is on the norm itself; its squared form is exactly
         # the diagonal term
         values.append(diag)
-        labels = labels + orthogonal
     values = np.concatenate(values)
-    names, exps = zip(*labels)
-    return list(map(BoundReport._make, zip(names, exps, repeat(lhs), values.tolist(),
-                                           slack_ratio(lhs, values).tolist())))
+    names, exps = columns[orthogonal]
+    return list(map(tuple.__new__, repeat(BoundReport), zip(names, exps, repeat(lhs), values.tolist(),
+                                                            slack_ratio(lhs, values).tolist())))
 
 
 def tightest_report(reports) -> BoundReport:
@@ -210,38 +215,42 @@ def _probe_vector(x, dim: int, where: str) -> tuple[np.ndarray, float]:
     return xv, float((np.abs(xv) ** 2).sum())
 
 
-def _probe_image(w: np.ndarray, fam: OperatorFamily, x, where: str) -> tuple[np.ndarray, float, np.ndarray]:
-    """_probe_vector(x) and the image (sum w_i A_i) x, for checked weights w.
-    One 3-operand einsum per probe: stacking the probes, or S @ x, gives other bits."""
-    xv, x_sq = _probe_vector(x, fam.dim, where)
-    return xv, x_sq, np.einsum("i,iab,b->a", w, fam.ops, xv)
-
-
-def _probe_check(img, x_sq: float, M: float, y=None) -> tuple[float, float, bool]:
-    """(lhs, bound, holds) of ||S x||^2 <= M ||x||^2 for img = S x, or, given
-    y's (y, ||y||^2, ...), of |(S x, y)|^2 <= M ||x||^2 ||y||^2."""
-    lhs, rhs = ((float((np.abs(img) ** 2).sum()), x_sq * M) if y is None
-                else (float(abs((img * y[0].conj()).sum()) ** 2), x_sq * y[1] * M))
-    return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)
-
-
 def vector_image_bound(alpha, fam: OperatorFamily, x, M: float) -> tuple[float, float, bool]:
     """Check ||sum alpha_i A_i x||^2 <= M ||x||^2 for a concrete x."""
-    _, x_sq, img = _probe_image(as_weights(alpha, fam.count), fam, x, "x")
-    return _probe_check(img, x_sq, M)
+    w = as_weights(alpha, fam.count)
+    xv, x_sq = _probe_vector(x, fam.dim, "x")
+    lhs, rhs = float((np.abs(np.einsum("i,iab,b->a", w, fam.ops, xv)) ** 2).sum()), x_sq * M
+    return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)
 
 
 def bilinear_bound(alpha, fam: OperatorFamily, x, y, M: float) -> tuple[float, float, bool]:
     """Check |sum alpha_i (A_i x, y)|^2 <= M ||x||^2 ||y||^2."""
-    _, x_sq, img = _probe_image(as_weights(alpha, fam.count), fam, x, "x")
-    return _probe_check(img, x_sq, M, _probe_vector(y, fam.dim, "y"))
+    w = as_weights(alpha, fam.count)
+    xv, x_sq = _probe_vector(x, fam.dim, "x")
+    img = np.einsum("i,iab,b->a", w, fam.ops, xv)
+    yv, y_sq = _probe_vector(y, fam.dim, "y")
+    lhs, rhs = float(abs((img * yv.conj()).sum()) ** 2), x_sq * y_sq * M
+    return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)
 
 
 def probe_checks(alpha, fam: OperatorFamily, probes, M: float) -> list[tuple[float, float, bool]]:
     """vector_image_bound(x_k) for each probe x_k, then bilinear_bound(x_k,
-    x_{(k+1) mod K}), with the same bits; the weights and each probe are
-    checked once, and each image is formed once."""
+    x_{(k+1) mod K}), with the same bits, by array operations on the probe
+    stack but for each image's einsum and |(S x, y)|^2's abs and power, whose
+    bits batching moves; a bad list is walked to name its first bad probe."""
     w = as_weights(alpha, fam.count)
-    checked = [_probe_image(w, fam, x, f"probes[{k}]") for k, x in enumerate(probes)]
-    pairs = [(x, None) for x in checked] + list(zip(checked, checked[1:] + checked[:1]))
-    return [_probe_check(img, x_sq, M, y) for (_, x_sq, img), y in pairs]
+    try:
+        xs = finite_array(probes, 2, "probes")
+    except ValueError:
+        xs = None
+    if xs is None or xs.shape[1] != fam.dim:
+        xs = np.array([_probe_vector(x, fam.dim, f"probes[{k}]")[0] for k, x in enumerate(probes)])
+        xs = xs.reshape(-1, fam.dim)
+    imgs = np.array([np.einsum("i,iab,b->a", w, fam.ops, x) for x in xs]).reshape(xs.shape)
+    x_sq = (np.abs(xs) ** 2).sum(axis=1)
+    inner = (imgs * np.concatenate((xs[1:], xs[:1])).conj()).sum(axis=1)
+    lhs = np.concatenate([(np.abs(imgs) ** 2).sum(axis=1), [abs(c) ** 2 for c in inner]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.concatenate((x_sq, x_sq * np.concatenate((x_sq[1:], x_sq[:1])))) * M
+        holds = lhs <= rhs * (1.0 + CHECK_TOL)
+    return list(zip(lhs.tolist(), rhs.tolist(), holds.tolist()))

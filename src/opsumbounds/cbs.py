@@ -7,9 +7,9 @@ S = sum z_i A_i satisfies, in the PSD order,
 
 with both sides PSD.  This module materializes the gap between the two
 sides and tests it.  Its scalar norm consequence
-||S||^2 <= (sum |z_i|^2) ||sum A_i A_i^*|| takes its left side from the
-family's norm pass (OperatorFamily.weighted_sum_norm) and its right side
-from one solve of the cached sum (sum_products_norm).
+||S||^2 <= (sum |z_i|^2) ||sum A_i A_i^*|| takes both sides from one
+norm pass of the family when the sum is formed before the pass
+(OperatorFamily.weighted_sum_norm and sum_products_norm).
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ class OperatorFamily:
     over ||A_i|| and ||A_i A_j^*||, so those are computed once, in one
     batched norm pass (linalg.spectral_norms), on first use; ||sum z_i
     A_i|| rides in that pass as one more slice when it comes first
-    (weighted_sum_norm).  ||A_i A_i^*|| is ||A_i||^2: no slice of its own.
+    (weighted_sum_norm), and so does sum A_i A_i^* once formed.
+    ||A_i A_i^*|| is ||A_i||^2: no slice of its own.
     """
 
     def __init__(self, ops):
@@ -49,10 +50,15 @@ class OperatorFamily:
         self.ops = stack
         self.count = int(stack.shape[0])
         self.dim = int(stack.shape[1])
+        self._last_sum = (None, None)
 
     def weighted_sum(self, z) -> np.ndarray:
+        """S = sum z_i A_i, read-only, kept for the bytes of the last weights."""
         w = as_weights(z, self.count)
-        return np.einsum("i,iab->ab", w, self.ops)
+        if self._last_sum[0] != w.tobytes():
+            self._last_sum = (w.tobytes(), np.einsum("i,iab->ab", w, self.ops))
+            self._last_sum[1].flags.writeable = False
+        return self._last_sum[1]
 
     @cached_property
     def sum_products(self) -> np.ndarray:
@@ -65,16 +71,20 @@ class OperatorFamily:
 
         The stack [A_i A_j^* for i < j, A_1..A_n, extra] is allocated once and
         filled in place, so no slice is held twice; cross's diagonal is norms**2.
+        A formed sum_products is one more slice, and its norm is kept.
         """
         n = self.count
         iu, ju = _upper_pairs(n)
         p = iu.size
         m = p + n
-        stack = np.empty((m + len(extra), self.dim, self.dim), dtype=np.complex128)
+        formed = "sum_products" in self.__dict__
+        stack = np.empty((m + len(extra) + formed, self.dim, self.dim), dtype=np.complex128)
         np.einsum("kab,kcb->kac", self.ops[iu], self.ops.conj()[ju], out=stack[:p])
         stack[p:m] = self.ops
-        stack[m:] = extra
+        stack[m:] = [*extra, self.sum_products] if formed else extra
         values = linalg.spectral_norms(stack)
+        if formed:
+            self._sum_products_norm = float(values[-1])
         norms = values[p:m]
         cross = np.diag(norms * norms)
         cross[iu, ju] = values[:p]
@@ -105,8 +115,10 @@ class OperatorFamily:
 
     @property
     def sum_products_norm(self) -> float:
-        """||sum A_i A_i^*||, solved alone on each read: no catalog bound reads it."""
-        return float(linalg.spectral_norms(self.sum_products[None])[0])
+        """||sum A_i A_i^*||, from the norm pass if the sum was formed first; no bound reads it."""
+        if "_sum_products_norm" not in self.__dict__:
+            self._sum_products_norm = float(linalg.spectral_norms(self.sum_products[None])[0])
+        return self._sum_products_norm
 
 
 @lru_cache(maxsize=64)
@@ -138,10 +150,10 @@ class PsdGapResult:
     inner_limit: float
 
 
-def _psd_verdict(eigs: np.ndarray) -> tuple[float, float, bool]:
+def _psd_verdict(eigs: np.ndarray) -> tuple[float, bool, float]:
     lo = float(eigs[0])
     limit = linalg.PSD_TOL * max(1.0, abs(lo), abs(float(eigs[-1])))
-    return lo, limit, lo >= -limit
+    return lo, lo >= -limit, limit
 
 
 def cbs_operator_gap(z, fam: OperatorFamily) -> PsdGapResult:
@@ -157,15 +169,4 @@ def cbs_operator_gap(z, fam: OperatorFamily) -> PsdGapResult:
     raw = float((np.abs(w) ** 2).sum()) * fam.sum_products - inner
     gap = 0.5 * (raw + raw.conj().T)
     eigs = linalg.hermitian_eigenvalues(np.stack([gap, 0.5 * (inner + inner.conj().T)]))
-    min_eig, limit, holds = _psd_verdict(eigs[0])
-    inner_min, inner_limit, inner_holds = _psd_verdict(eigs[1])
-    return PsdGapResult(
-        gap=gap,
-        min_eigenvalue=min_eig,
-        holds=holds,
-        limit=limit,
-        inner_min_eigenvalue=inner_min,
-        inner_holds=inner_holds,
-        inner_limit=inner_limit,
-    )
-
+    return PsdGapResult(gap, *_psd_verdict(eigs[0]), *_psd_verdict(eigs[1]))

@@ -52,16 +52,11 @@ def _parse_grid(text):
     if text is None:
         return None
     values = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in filter(None, map(str.strip, text.split(","))):
         try:
             values.append(float(piece))
         except ValueError:
             raise SchemaError(f"bad grid entry {piece!r}") from None
-    if not values:
-        raise SchemaError("empty exponent grid")
     return tuple(values)
 
 

@@ -11,6 +11,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +33,7 @@ KINDS = (
 
 _PROBE_COUNT = 8
 _PROBE_SALT = 0x50B1
+_CHECK_NAMES: dict = {}  # verify's check names by (grid, catalog length), which fix them
 
 
 def _is_int(value) -> bool:
@@ -140,10 +142,6 @@ class VerificationResult:
     worst_violation: float
 
 
-def _check_name(rep: bounds.BoundReport) -> str:
-    return f"{rep.name}({rep.exponents})" if rep.exponents else rep.name
-
-
 @lru_cache(maxsize=64)
 def _probes(dim: int, count: int) -> tuple[np.ndarray, ...]:
     # The probe vectors depend on the shape alone; cached, read-only.
@@ -166,19 +164,25 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = bounds.CHECK_TOL, *
     if isinstance(tol, (bool, np.bool_)) or not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     w = as_weights(alpha, fam.count)
-    # the catalog checks the grid before anything is solved; its left side
-    # is the CBS norm check's too, so the assembled-sum norm is computed once
-    reports = bounds.catalog_reports(w, fam, exponent_grid)
+    grid = None if exponent_grid is None else tuple(map(float, exponent_grid))
+    # formed first, sum A_i A_i^* joins the norm pass that the catalog starts after its grid check
+    fam.sum_products
+    reports = bounds.catalog_reports(w, fam, grid)
     gap = cbs_operator_gap(w, fam)
     lhs = reports[0].lhs_sq
     rhs = float((np.abs(w) ** 2).sum()) * fam.sum_products_norm
     m = bounds.tightest_report(reports).bound
-    probes = _probes(fam.dim, fam.count)
 
     # the checks' names, left sides, bounds and verdicts as columns, in report order
-    probe_lhs, probe_bound, probe_holds = zip(*bounds.probe_checks(w, fam, probes, m))
-    names = ["psd_gap", "psd_gap_inner", "cbs_norm", *map(_check_name, reports),
-             *(f"{check}_probe_{k}" for check in ("image", "bilinear") for k in range(len(probes)))]
+    probe_lhs, probe_bound, probe_holds = zip(*bounds.probe_checks(w, fam, _probes(fam.dim, fam.count), m))
+    names = _CHECK_NAMES.get((grid, len(reports)))
+    if names is None:
+        if len(_CHECK_NAMES) >= 16:
+            _CHECK_NAMES.clear()
+        names = _CHECK_NAMES[grid, len(reports)] = (
+            "psd_gap", "psd_gap_inner", "cbs_norm",
+            *(f"{r.name}({r.exponents})" if r.exponents else r.name for r in reports),
+            *(f"{check}_probe_{k}" for check in ("image", "bilinear") for k in range(_PROBE_COUNT + 1)))
     lhss = [-gap.min_eigenvalue, -gap.inner_min_eigenvalue, lhs, *[lhs] * len(reports), *probe_lhs]
     rhss = [gap.limit, gap.inner_limit, rhs, *(rep.bound for rep in reports), *probe_bound]
     holds = [gap.holds, gap.inner_holds, lhs <= rhs * (1.0 + bounds.CHECK_TOL),
@@ -188,7 +192,8 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = bounds.CHECK_TOL, *
     # the violation is lhs/bound - 1 above 0, or inf for lhs > 0 over a bound that is not
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         violations = np.where(ra > 0.0, np.maximum(la / ra - 1.0, 0.0), np.where(la <= 0.0, 0.0, np.inf))
-    checks = list(map(CheckRecord._make, zip(names, lhss, rhss, holds, bounds.slack_ratio(la, ra).tolist())))
+    rows = zip(names, lhss, rhss, holds, bounds.slack_ratio(la, ra).tolist())
+    checks = list(map(tuple.__new__, repeat(CheckRecord), rows))
     return VerificationResult(checks=checks, all_hold=all(holds),
                               worst_violation=max([0.0] + violations.tolist()))
 

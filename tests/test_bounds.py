@@ -319,6 +319,23 @@ def test_bad_grid_is_rejected_before_any_norm_is_solved(monkeypatch):
         catalog_reports(w, fam, exponent_grid=(0.5,))
 
 
+def test_empty_grid_is_rejected_before_any_solve(monkeypatch):
+    from opsumbounds import linalg
+
+    def never(*args, **kwargs):
+        raise AssertionError("solved for an empty grid")
+
+    w, fam = _random_instance(6, d=3, n=3)
+    monkeypatch.setattr(linalg, "spectral_norms", never)
+    monkeypatch.setattr(linalg, "hermitian_eigenvalues", never)
+    spec = harness.InstanceSpec("GaussianDense", 3, 3, 0)
+    for call in (lambda: catalog_reports(w, fam, []), lambda: catalog_reports(w, VectorFamily(np.eye(3)[:3]), ()),
+                 lambda: harness.verify_instance(w, fam, exponent_grid=[]),
+                 lambda: harness.slack_sweep([spec], np.array([]))):
+        with pytest.raises(InvalidExponent, match="^empty exponent grid$"):
+            call()
+
+
 @pytest.mark.parametrize("p", [2.0**60, 1e300])
 def test_grid_rejects_an_exponent_whose_conjugate_rounds_to_one(p):
     w, fam = _random_instance(5, d=2, n=2)
@@ -447,3 +464,38 @@ def test_probe_shape_rejection():
         assert raised == [cls] * 4
         with pytest.raises(cls, match=message):
             probe_checks(alpha, fam, [np.ones(3), bad], 1.0)
+
+
+# probe lists that are not one finite (K, 3) stack, the place of the
+# first bad probe and what the pair raises for it
+BAD_PROBE_LISTS = {
+    "ragged": ([np.ones(3), np.ones(4), np.ones(3)], 1, DimensionMismatch,
+               r"^probe vector shape \(4,\) does not match dimension 3$"),
+    "every probe short": ([np.ones(2), np.ones(2)], 0, DimensionMismatch,
+                          r"^probe vector shape \(2,\) does not match dimension 3$"),
+    "short before non-finite": ([np.ones(3), [1.0, 2.0], [0.0, np.nan, 0.0]], 1, DimensionMismatch,
+                                r"^probe vector shape \(2,\) does not match dimension 3$"),
+    "non-finite before short": ([np.ones(3), [0.0, 0.0, np.inf], [1.0, 2.0]], 1, ValueError,
+                                r"^probes\[1\]\[2\] is not finite$"),
+    "non-finite in a stack": (np.array([np.ones(3), [0.0, np.nan, 1.0]]), 1, ValueError,
+                              r"^probes\[1\]\[1\] is not finite$"),
+    "matrices": (np.ones((2, 1, 3)), 0, DimensionMismatch, r"^expected probes\[0\] as a nonempty 1-d array"),
+    "scalars": ([1.0, 2.0, 3.0], 0, DimensionMismatch, r"^expected probes\[0\] as a nonempty 1-d array"),
+    "not numbers": ([np.ones(3), ["a", "b", "c"]], 1, DimensionMismatch, r"^cannot read probes\[1\] as one array"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PROBE_LISTS))
+def test_probe_checks_name_the_first_bad_probe_as_the_pair_does(case):
+    w, fam = _random_instance(2, d=3, n=2)
+    probes, first, cls, message = BAD_PROBE_LISTS[case]
+    with pytest.raises(cls, match=message) as exc:
+        probe_checks(w, fam, probes, 1.0)
+    assert type(exc.value) is cls
+    # the probes before the first bad one pass the pair, which raises the
+    # same class for that one
+    for x in probes[:first]:
+        vector_image_bound(w, fam, x, 1.0)
+    with pytest.raises(cls) as exc:
+        vector_image_bound(w, fam, probes[first], 1.0)
+    assert type(exc.value) is cls

@@ -168,6 +168,25 @@ def test_weighted_sum_matches_manual():
     assert np.allclose(fam.weighted_sum(w), manual, rtol=0, atol=1e-14)
 
 
+def test_weighted_sum_is_kept_read_only_and_never_stale():
+    w, fam = _random_instance(1235, d=4, n=3)
+    s = fam.weighted_sum(w)
+    kept = s.tobytes()
+    assert kept == np.einsum("i,iab->ab", w, fam.ops).tobytes()
+    with pytest.raises(ValueError):
+        s[0, 0] = 1.0
+    # weights with the same bytes get the kept S back, without a new einsum
+    assert fam.weighted_sum(w.copy()) is s and fam.weighted_sum(list(w)) is s
+    # weights changed in place between calls get a fresh S, and the old one is untouched
+    norm = fam.weighted_sum_norm(w)
+    w[1] *= -3.0
+    fresh = fam.weighted_sum(w)
+    assert fresh is not s and not fresh.flags.writeable
+    assert fresh.tobytes() == np.einsum("i,iab->ab", w, fam.ops).tobytes()
+    assert s.tobytes() == kept
+    assert fam.weighted_sum_norm(w) == OperatorFamily(fam.ops).weighted_sum_norm(w) != norm
+
+
 def test_gap_psd_verdict_uses_relative_scale():
     # scaling the instance must not flip the verdict
     w, fam = _random_instance(17, d=4, n=3)
@@ -222,10 +241,14 @@ def test_norm_check_takes_its_left_side_from_the_norm_pass(monkeypatch):
     reports = bounds.catalog_reports(w, OperatorFamily(fam.ops))
     calls = _count_norm_calls(monkeypatch)
     rec = _cbs_norm_record(w, fam)
-    # the norm pass with the left side, then ||sum A_i A_i^*|| alone
-    assert calls == [3 * 2 // 2 + 3 + 1, 1]
+    # one norm pass: the pairs i < j, the members, the left side and sum A_i A_i^*
+    assert calls == [3 * 2 // 2 + 3 + 2]
     assert rec.holds and rec.lhs == reports[0].lhs_sq
     assert rec.bound == _norm_check(w, fam)[1]
+    # the sum's slice carries the bits of a solve of its own
+    alone = OperatorFamily(fam.ops)
+    assert fam.sum_products_norm == alone.sum_products_norm
+    assert calls[1:] == [1, 1]
 
 
 def _concatenated_stack(fam, extra):
@@ -245,7 +268,7 @@ def _concatenated_stack(fam, extra):
     ("OrthonormalRankOne", 5, 4),
 ])
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
-@pytest.mark.parametrize("with_sum", [False, True], ids=["norm_data", "with_sum"])
+@pytest.mark.parametrize("with_sum", [False, True, "products"], ids=["norm_data", "with_sum", "with_products"])
 def test_norm_pass_stack_is_bytewise_the_concatenation(monkeypatch, kind, d, n, scale, with_sum):
     w, gen, _ = generate(InstanceSpec(kind, d, n, 3))
     fam = OperatorFamily(gen.ops * scale)
@@ -257,7 +280,12 @@ def test_norm_pass_stack_is_bytewise_the_concatenation(monkeypatch, kind, d, n, 
         return solve(ms)
 
     monkeypatch.setattr(linalg, "spectral_norms", recorded)
-    if with_sum:
+    if with_sum == "products":
+        # a sum A_i A_i^* formed before the pass is its last slice
+        fam.sum_products
+        fam.weighted_sum_norm(w)
+        extra = np.concatenate([fam.weighted_sum(w)[None], fam.sum_products[None]])
+    elif with_sum:
         fam.weighted_sum_norm(w)
         extra = fam.weighted_sum(w)[None]
     else:

@@ -219,6 +219,13 @@ def test_bad_inputs_exit_2(ops_file, tmp_path, capsys):
     assert main(["bound", "--input", ops_file, "--grid", "1.5,1.5000001"]) == 2
     assert main(["verify", "--input", ops_file, "--grid", "2,2"]) == 2
     capsys.readouterr()
+    # a grid of no entries, through each subcommand
+    for args in (["bound", "--input", ops_file], ["verify", "--input", ops_file],
+                 ["verify", "--kind", "GaussianDense", "--dim", "4", "--count", "3"],
+                 ["sweep", "--dim", "4", "--count", "3", "--out", str(tmp_path / "empty_grid.csv")]):
+        for grid in (",", " , ,", ""):
+            assert main([*args, "--grid", grid]) == 2, (args, grid)
+            assert capsys.readouterr().err == "error: empty exponent grid\n"
 
 
 @pytest.mark.parametrize("depth", [990, 100000])

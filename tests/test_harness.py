@@ -6,7 +6,7 @@ import catalog_reference
 import numpy as np
 import pytest
 
-from opsumbounds import bounds
+from opsumbounds import bounds, linalg
 from opsumbounds.bounds import catalog_reports, tightest_report
 from opsumbounds.cbs import OperatorFamily
 from opsumbounds.errors import InvalidSpec
@@ -275,12 +275,14 @@ def test_probe_rows_are_the_pair_bit_for_bit(scale):
 
 
 def test_verify_forms_each_probe_image_once(monkeypatch):
-    images, weight_checks = [], []
+    images, weight_checks, sums = [], [], []
     einsum, as_weights = np.einsum, bounds.as_weights
 
     def counting_einsum(subscripts, *ops, **kw):
         if subscripts == "i,iab,b->a":
             images.append(ops[2])
+        if subscripts == "i,iab->ab":
+            sums.append(ops[0])
         return einsum(subscripts, *ops, **kw)
 
     def counting_as_weights(z, n):
@@ -291,13 +293,75 @@ def test_verify_forms_each_probe_image_once(monkeypatch):
     monkeypatch.setattr(bounds, "as_weights", counting_as_weights)
     w, fam, _ = generate(InstanceSpec("GaussianDense", 5, 3, 4))
     verify_instance(w, fam)
-    # the catalog checks the weights once, and probe_checks once
-    assert (len(images), len(weight_checks)) == (9, 2)
+    # the catalog checks the weights once, and probe_checks once; the norm
+    # pass and the PSD gap share one S
+    assert (len(images), len(weight_checks), len(sums)) == (9, 2, 1)
     # the pair keeps its work: one check of the weights and one image a call
     del images[:], weight_checks[:]
     bounds.vector_image_bound(w, fam, np.ones(5), 1.0)
     bounds.bilinear_bound(w, fam, np.ones(5), np.ones(5), 1.0)
     assert (len(images), len(weight_checks)) == (2, 2)
+
+
+def test_probe_checks_of_no_probes_are_empty():
+    w, fam, _ = generate(InstanceSpec("GaussianDense", 3, 2, 0))
+    assert bounds.probe_checks(w, fam, [], 1.0) == []
+    assert bounds.probe_checks(w, fam, (), 1.0) == []
+    assert bounds.probe_checks(w, fam, np.zeros((0, 3)), 1.0) == []
+
+
+def _rows(res):
+    return [(c.name, float(c.lhs).hex(), float(c.bound).hex(), c.holds, float(c.slack_ratio).hex())
+            for c in res.checks] + [res.all_hold, float(res.worst_violation).hex()]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_rows_do_not_depend_on_what_the_family_cached(kind):
+    # a fresh family solves the sum of products in its one norm pass; a
+    # family with cached norm data solves it alone; the bytes are the same
+    w, gen, _ = generate(InstanceSpec(kind, 7, 3, 5))
+    for scale in (1.0, 1e-60):
+        want = _rows(verify_instance(w * scale, OperatorFamily(gen.ops)))
+        for warm in (lambda f: f.norms, lambda f: f.weighted_sum_norm(w), lambda f: f.sum_products_norm,
+                     lambda f: catalog_reports(w * scale, f), lambda f: verify_instance(w * scale, f)):
+            fam = OperatorFamily(gen.ops)
+            warm(fam)
+            assert _rows(verify_instance(w * scale, fam)) == want, (kind, scale)
+
+
+def test_fresh_family_verify_makes_one_norm_call(monkeypatch):
+    calls = []
+    solve = linalg.spectral_norms
+
+    def counted(ms):
+        calls.append(len(ms))
+        return solve(ms)
+
+    monkeypatch.setattr(linalg, "spectral_norms", counted)
+    for kind in KINDS:
+        w, fam, _ = generate(InstanceSpec(kind, 6, 4, 2))
+        del calls[:]
+        verify_instance(w, fam)
+        # the pairs i < j, the members, S and sum A_i A_i^*
+        assert calls == [4 * 3 // 2 + 4 + 2], kind
+
+
+def test_check_names_are_built_once_per_grid():
+    first = verify_instance(*generate(InstanceSpec("GaussianDense", 4, 3, 0))[:2])
+    second = verify_instance(*generate(InstanceSpec("UnitaryScaled", 5, 2, 1))[:2])
+    assert all(a.name is b.name for a, b in zip(first.checks, second.checks))
+    # one grid spelled two ways shares its names; another grid has its own
+    w, fam, _ = generate(InstanceSpec("GaussianDense", 4, 3, 0))
+    spelled = [verify_instance(w, fam, exponent_grid=grid) for grid in ((1.5, 3), [1.5, 3.0], np.array([1.5, 3.0]))]
+    assert all(a.name is b.name for res in spelled[1:] for a, b in zip(spelled[0].checks, res.checks))
+    # 3 leading checks, 4 x 4 master entries and 7 named variants, 18 probe checks
+    assert len(spelled[0].checks) == 3 + 16 + 7 + 18
+    assert "holder_count(p=2,q=2)" in [c.name for c in first.checks]
+    assert "holder_count(p=2,q=2)" not in [c.name for c in spelled[0].checks]
+    # the orthogonal entries come with their own names, on the same grid
+    ortho = verify_instance(*generate(InstanceSpec("OrthonormalRankOne", 4, 4, 3))[:2])
+    assert [c.name for c in ortho.checks][:64] == [c.name for c in first.checks][:64]
+    assert sum(c.name.startswith("orthogonal:") for c in ortho.checks) == 7
 
 
 def test_probes_are_cached_read_only_and_equal_a_fresh_draw():
