@@ -59,14 +59,12 @@ def slack_ratio(lhs_sq, bound) -> np.ndarray:
 
 def _power_sums(values: np.ndarray, exps) -> dict:
     """sum v^x for each distinct finite x of exps."""
-    return {x: float((values**x).sum()) for x in set(exps) if x != _INF}
+    return {x: float(np.add.reduce(values**x)) for x in set(exps) if x != _INF}
 
 
 def _lp_aggregate(values: np.ndarray, sums: dict, p: float) -> float:
     """(sum v^(2p))^(1/p), the sum from sums; p = inf gives the limit (max v)^2."""
-    if p == _INF:
-        return float(values.max()) ** 2
-    return sums[2.0 * p] ** (1.0 / p)
+    return float(np.maximum.reduce(values)) ** 2 if p == _INF else sums[2.0 * p] ** (1.0 / p)
 
 
 def _pair_weight(wa: np.ndarray, sums: dict, r: float) -> float:
@@ -93,8 +91,8 @@ def _pair_weight(wa: np.ndarray, sums: dict, r: float) -> float:
 def _cross_aggregate(off: np.ndarray, s: float) -> float:
     """(sum_{i != j} cross^s)^(1/s); s = inf gives max_{i != j}."""
     if s == _INF:
-        return float(off.max())
-    return float((off**s).sum()) ** (1.0 / s)
+        return float(np.maximum.reduce(off, axis=None))
+    return float(np.add.reduce(off**s, axis=None)) ** (1.0 / s)
 
 
 @lru_cache(maxsize=16)
@@ -138,6 +136,13 @@ def _catalog_table(grid: tuple[float, ...]):
     return pairs, power_means, exps, (tuple(zip(*labels)), tuple(zip(*(labels + orthogonal))))
 
 
+def check_grid(exponent_grid=None) -> tuple[float, ...]:
+    """The grid catalog_reports uses, as floats (DEFAULT_GRID for None); InvalidExponent if it is bad."""
+    grid = DEFAULT_GRID if exponent_grid is None else tuple(float(p) for p in exponent_grid)
+    _catalog_table(grid)
+    return grid
+
+
 def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
     """Every catalog bound on one instance, in fixed catalog order.
 
@@ -156,8 +161,7 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
     the paper's orthogonal bound assumes, the diagonal terms D themselves.
     """
     w = as_weights(alpha, fam.count)
-    grid = DEFAULT_GRID if exponent_grid is None else tuple(float(p) for p in exponent_grid)
-    pairs, power_means, (ps, qs, ss, w_exps, n_exps), columns = _catalog_table(grid)
+    pairs, power_means, (ps, qs, ss, w_exps, n_exps), columns = _catalog_table(check_grid(exponent_grid))
     lhs = fam.weighted_sum_norm(w) ** 2
     wa = np.abs(w)
     na = fam.norms
@@ -179,7 +183,7 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
         return lw[1.0] * (ln[_INF] + n ** (2.0 / r - 1.0) * xa[s])
 
     # cross_total takes the full table, diagonal included
-    named = [lw[_INF] * float(cross.sum())]
+    named = [lw[_INF] * float(np.add.reduce(cross, axis=None))]
     named += [lw[p] * (ln[q] + (n - 1) * xa[q]) for p, q in pairs[1:-1]]
     named.append(lw[1.0] * (ln[_INF] + (n - 1) * xa[_INF]))
     # l2_cross is the r = 2 power mean under its own name; sharing the
@@ -189,7 +193,7 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
     named += [power_mean(r, s) for r, s in power_means]
 
     values = [(diag[:, None] + offdiag[None, :]).ravel(), np.array(named)]
-    orthogonal = not off.any()
+    orthogonal = not np.count_nonzero(off)
     if orthogonal:
         # the bound is on the norm itself; its squared form is exactly
         # the diagonal term
@@ -212,14 +216,14 @@ def _probe_vector(x, dim: int, where: str) -> tuple[np.ndarray, float]:
     xv = finite_array(x, 1, where)
     if xv.size != dim:
         raise DimensionMismatch(f"probe vector shape {xv.shape} does not match dimension {dim}")
-    return xv, float((np.abs(xv) ** 2).sum())
+    return xv, float(np.add.reduce(np.abs(xv) ** 2))
 
 
 def vector_image_bound(alpha, fam: OperatorFamily, x, M: float) -> tuple[float, float, bool]:
     """Check ||sum alpha_i A_i x||^2 <= M ||x||^2 for a concrete x."""
     w = as_weights(alpha, fam.count)
     xv, x_sq = _probe_vector(x, fam.dim, "x")
-    lhs, rhs = float((np.abs(np.einsum("i,iab,b->a", w, fam.ops, xv)) ** 2).sum()), x_sq * M
+    lhs, rhs = float(np.add.reduce(np.abs(np.einsum("i,iab,b->a", w, fam.ops, xv)) ** 2)), x_sq * M
     return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)
 
 
@@ -229,7 +233,7 @@ def bilinear_bound(alpha, fam: OperatorFamily, x, y, M: float) -> tuple[float, f
     xv, x_sq = _probe_vector(x, fam.dim, "x")
     img = np.einsum("i,iab,b->a", w, fam.ops, xv)
     yv, y_sq = _probe_vector(y, fam.dim, "y")
-    lhs, rhs = float(abs((img * yv.conj()).sum()) ** 2), x_sq * y_sq * M
+    lhs, rhs = float(abs(np.add.reduce(img * yv.conj())) ** 2), x_sq * y_sq * M
     return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)
 
 

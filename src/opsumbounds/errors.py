@@ -53,7 +53,7 @@ def finite_array(x, ndim: int, where: str) -> np.ndarray:
     if arr.ndim != ndim or 0 in arr.shape:
         raise DimensionMismatch(f"expected {where} as a nonempty {ndim}-d array, got shape {arr.shape}")
     finite = np.isfinite(arr)
-    if not finite.all():
+    if np.count_nonzero(finite) != finite.size:
         first = np.unravel_index(np.argmin(finite), arr.shape)
         raise ValueError(where + "".join(f"[{i}]" for i in first) + " is not finite")
     return arr

@@ -164,8 +164,8 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = bounds.CHECK_TOL, *
     if isinstance(tol, (bool, np.bool_)) or not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     w = as_weights(alpha, fam.count)
-    grid = None if exponent_grid is None else tuple(map(float, exponent_grid))
-    # formed first, sum A_i A_i^* joins the norm pass that the catalog starts after its grid check
+    grid = bounds.check_grid(exponent_grid)
+    # formed first, sum A_i A_i^* joins the norm pass that the catalog starts
     fam.sum_products
     reports = bounds.catalog_reports(w, fam, grid)
     gap = cbs_operator_gap(w, fam)
@@ -201,11 +201,12 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = bounds.CHECK_TOL, *
 def slack_sweep(specs, exponent_grid=None) -> list[tuple]:
     """One row per (instance, catalog bound): seed, kind, dim, count,
     bound name, exponents, lhs, bound value, slack ratio.  Row order is
-    spec order, then catalog order."""
+    spec order, then catalog order.  The grid is checked before any instance."""
+    grid = bounds.check_grid(exponent_grid)
     rows = []
     for spec in specs:
         weights, fam, _ = generate(spec)
-        for rep in bounds.catalog_reports(weights, fam, exponent_grid):
+        for rep in bounds.catalog_reports(weights, fam, grid):
             rows.append((spec.seed, spec.kind, spec.dim, spec.count,
                          rep.name, rep.exponents, rep.lhs_sq, rep.bound, rep.slack_ratio))
     return rows

@@ -40,7 +40,7 @@ def pow2_scale(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     overflow, nor underflow at the slice's own scale.
     """
     parts = np.asarray(stack, dtype=np.complex128, order="C").view(np.float64)
-    exps = np.frexp(np.abs(parts).max(axis=tuple(range(1, parts.ndim))))[1]
+    exps = np.frexp(np.maximum.reduce(np.abs(parts), axis=tuple(range(1, parts.ndim))))[1]
     return np.ldexp(parts, -exps.reshape((-1,) + (1,) * (parts.ndim - 1))).view(np.complex128), exps
 
 

@@ -331,9 +331,13 @@ def test_empty_grid_is_rejected_before_any_solve(monkeypatch):
     spec = harness.InstanceSpec("GaussianDense", 3, 3, 0)
     for call in (lambda: catalog_reports(w, fam, []), lambda: catalog_reports(w, VectorFamily(np.eye(3)[:3]), ()),
                  lambda: harness.verify_instance(w, fam, exponent_grid=[]),
-                 lambda: harness.slack_sweep([spec], np.array([]))):
+                 lambda: harness.slack_sweep([spec], np.array([])), lambda: harness.slack_sweep([], ()),
+                 lambda: bounds.check_grid([])):
         with pytest.raises(InvalidExponent, match="^empty exponent grid$"):
             call()
+    # the grid as catalog_reports uses it
+    assert bounds.check_grid(None) is bounds.DEFAULT_GRID
+    assert bounds.check_grid(np.array([2, 3])) == (2.0, 3.0)
 
 
 @pytest.mark.parametrize("p", [2.0**60, 1e300])

@@ -55,6 +55,19 @@ def test_strided_operators_and_weights_give_the_bits_of_contiguous_copies():
     assert np.array_equal(strided.gap, contiguous.gap)
     assert strided.min_eigenvalue == contiguous.min_eigenvalue
     assert strided.inner_min_eigenvalue == contiguous.inner_min_eigenvalue
+    # the catalog and the probe pair take strided weights and probe views
+    # through the same intake check; repr pins every bit, -0.0 included
+    def outputs(weights, fam, x, y):
+        reports = bounds.catalog_reports(weights, fam)
+        m = bounds.tightest_report(reports).bound
+        return repr((reports, bounds.vector_image_bound(weights, fam, x, m),
+                     bounds.vector_image_bound(weights, fam, y, m), bounds.bilinear_bound(weights, fam, x, y, m),
+                     bounds.probe_checks(weights, fam, [x, y], m)))
+
+    longer = rng.complex_normal(8)
+    x, y = longer[::2], longer[4:][::-1]
+    assert outputs(w, OperatorFamily(t), x, y) == outputs(
+        np.ascontiguousarray(w), OperatorFamily(np.ascontiguousarray(t)), x.copy(), y.copy())
 
 
 def test_family_cached_norms_hand_values():

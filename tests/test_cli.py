@@ -387,6 +387,15 @@ def test_sweep_empty_range_writes_header_only(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_rejects_a_bad_grid_even_with_no_instance(tmp_path, capsys):
+    # an empty seed range reaches no catalog, so the grid is checked before the first instance
+    out = tmp_path / "empty.csv"
+    for grid in (",", "0.5", "2,2"):
+        assert main(["sweep", "--dim", "4", "--count", "3", "--seed", "5:5", "--grid", grid, "--out", str(out)]) == 2
+        assert "grid" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_sweep_rejects_bad_arguments(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert main(["sweep", "--kind", "GaussianDense", "--dim", "3", "--count", "2",
