@@ -57,9 +57,21 @@ def slack_ratio(lhs_sq, bound) -> np.ndarray:
         return np.where(lhs_sq <= 0.0, np.where(bound <= 0.0, 1.0, _INF), np.divide(bound, lhs_sq))
 
 
-def _power_sums(values: np.ndarray, exps) -> dict:
-    """sum v^x for each distinct finite x of exps."""
-    return {x: float(np.add.reduce(values**x)) for x in set(exps) if x != _INF}
+def _exponent_table(exps) -> tuple[np.ndarray, list]:
+    """The distinct finite exponents of exps, sorted, as a read-only column and as a list."""
+    keys = sorted({x for x in exps if x != _INF})
+    column = np.array(keys)[:, None]
+    column.flags.writeable = False
+    return column, keys
+
+
+def _power_sums(values: np.ndarray, table) -> dict:
+    """sum v^x for each x of an _exponent_table holding 2.0, by one power call and
+    one row reduction; row 2.0 is np.square's, as values**2.0 is, not pow's."""
+    column, keys = table
+    powers = values**column
+    np.square(values, out=powers[keys.index(2.0)])
+    return dict(zip(keys, np.add.reduce(powers, axis=1).tolist()))
 
 
 def _lp_aggregate(values: np.ndarray, sums: dict, p: float) -> float:
@@ -88,18 +100,12 @@ def _pair_weight(wa: np.ndarray, sums: dict, r: float) -> float:
     return inside ** (1.0 / r)
 
 
-def _cross_aggregate(off: np.ndarray, s: float) -> float:
-    """(sum_{i != j} cross^s)^(1/s); s = inf gives max_{i != j}."""
-    if s == _INF:
-        return float(np.maximum.reduce(off, axis=None))
-    return float(np.add.reduce(off**s, axis=None)) ** (1.0 / s)
-
-
 @lru_cache(maxsize=16)
 def _catalog_table(grid: tuple[float, ...]):
     """The grid-only part of the catalog, after the check of the grid's
     entries and labels: the exponent and power-mean pairs, the exponents
-    of each aggregate and power sum, and two sets of label columns.
+    of each aggregate and the tables of the weight, norm and cross power
+    sums, and two sets of label columns.
 
     The diagonal choices (max_weight, Holder, max_norm) and the
     off-diagonal ones (max_pair, Holder, max_cross) share one list of
@@ -132,7 +138,8 @@ def _catalog_table(grid: tuple[float, ...]):
     labels += [("power_mean_cross", f"r={r:g},s={s:g}") for r, s in power_means]
     orthogonal = [(f"orthogonal:{dn}", de) for dn, de in diag]
     ps, qs = frozenset(p for p, _ in pairs), frozenset(q for _, q in pairs)
-    exps = ps, qs, qs | {2.0}, [x for p in ps for x in (p, 2.0 * p)], [2.0 * q for q in qs]
+    sum_exps = [x for p in ps for x in (p, 2.0 * p)], [2.0 * q for q in qs], qs | {2.0}
+    exps = ps, qs, *map(_exponent_table, sum_exps)
     return pairs, power_means, exps, (tuple(zip(*labels)), tuple(zip(*(labels + orthogonal))))
 
 
@@ -153,15 +160,17 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
     solved; the left side is solved before the norm data is read, so an
     OperatorFamily solves both in one pass.
 
-    Each aggregate, and each power sum sum v^x that aggregates share, is
-    computed once per distinct exponent.  The master entries are the
-    table D[i] + O[j] of a diagonal term per diagonal choice and an
-    off-diagonal term per off-diagonal choice; the named variants follow,
-    and, when every cross product ||A_i A_j^*|| (i != j) is exactly 0, as
-    the paper's orthogonal bound assumes, the diagonal terms D themselves.
+    Each aggregate is computed once per distinct exponent, from power sums
+    sum v^x shared between aggregates: one power call and one row reduction
+    for each of the weights, the norms and the off-diagonal cross table.
+    The master entries are the table D[i] + O[j] of a diagonal term per
+    diagonal choice and an off-diagonal term per off-diagonal choice; the
+    named variants follow, and, when every cross product ||A_i A_j^*||
+    (i != j) is exactly 0, as the paper's orthogonal bound assumes, the
+    diagonal terms D themselves.
     """
     w = as_weights(alpha, fam.count)
-    pairs, power_means, (ps, qs, ss, w_exps, n_exps), columns = _catalog_table(check_grid(exponent_grid))
+    pairs, power_means, (ps, qs, w_table, n_table, s_table), columns = _catalog_table(check_grid(exponent_grid))
     lhs = fam.weighted_sum_norm(w) ** 2
     wa = np.abs(w)
     na = fam.norms
@@ -170,12 +179,14 @@ def catalog_reports(alpha, fam, exponent_grid=None) -> list[BoundReport]:
     np.fill_diagonal(off, 0.0)
     n = wa.size
 
-    sw = _power_sums(wa, w_exps)
-    sn = _power_sums(na, n_exps)
+    sw = _power_sums(wa, w_table)
+    sn = _power_sums(na, n_table)
     lw = {p: _lp_aggregate(wa, sw, p) for p in ps}
     ln = {q: _lp_aggregate(na, sn, q) for q in qs}
     pw = {r: _pair_weight(wa, sw, r) for r in ps}
-    xa = {s: _cross_aggregate(off, s) for s in ss}
+    # (sum_{i != j} cross^s)^(1/s); s = inf gives max_{i != j}
+    xa = {s: total ** (1.0 / s) for s, total in _power_sums(off.ravel(), s_table).items()}
+    xa[_INF] = float(np.maximum.reduce(off, axis=None))
     diag = np.array([lw[p] * ln[q] for p, q in pairs])
     offdiag = np.array([pw[r] * xa[s] for r, s in pairs])
 
@@ -211,29 +222,29 @@ def tightest_report(reports) -> BoundReport:
     return min(reports, key=lambda rep: rep.bound)
 
 
-def _probe_vector(x, dim: int, where: str) -> tuple[np.ndarray, float]:
-    """The probe x as a checked array of dim entries, and ||x||^2."""
+def _probe_vector(x, dim: int, where: str) -> np.ndarray:
+    """The probe x as a checked array of dim entries."""
     xv = finite_array(x, 1, where)
     if xv.size != dim:
         raise DimensionMismatch(f"probe vector shape {xv.shape} does not match dimension {dim}")
-    return xv, float(np.add.reduce(np.abs(xv) ** 2))
+    return xv
 
 
 def vector_image_bound(alpha, fam: OperatorFamily, x, M: float) -> tuple[float, float, bool]:
     """Check ||sum alpha_i A_i x||^2 <= M ||x||^2 for a concrete x."""
     w = as_weights(alpha, fam.count)
-    xv, x_sq = _probe_vector(x, fam.dim, "x")
-    lhs, rhs = float(np.add.reduce(np.abs(np.einsum("i,iab,b->a", w, fam.ops, xv)) ** 2)), x_sq * M
+    xv = _probe_vector(x, fam.dim, "x")
+    lhs, rhs = float(np.add.reduce(np.abs(fam.probe_image(w, xv)) ** 2)), fam.probe_norm_sq(xv) * M
     return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)
 
 
 def bilinear_bound(alpha, fam: OperatorFamily, x, y, M: float) -> tuple[float, float, bool]:
     """Check |sum alpha_i (A_i x, y)|^2 <= M ||x||^2 ||y||^2."""
     w = as_weights(alpha, fam.count)
-    xv, x_sq = _probe_vector(x, fam.dim, "x")
-    img = np.einsum("i,iab,b->a", w, fam.ops, xv)
-    yv, y_sq = _probe_vector(y, fam.dim, "y")
-    lhs, rhs = float(abs(np.add.reduce(img * yv.conj())) ** 2), x_sq * y_sq * M
+    xv = _probe_vector(x, fam.dim, "x")
+    yv = _probe_vector(y, fam.dim, "y")
+    lhs = float(abs(np.add.reduce(fam.probe_image(w, xv) * yv.conj())) ** 2)
+    rhs = fam.probe_norm_sq(xv) * fam.probe_norm_sq(yv) * M
     return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)
 
 
@@ -248,12 +259,12 @@ def probe_checks(alpha, fam: OperatorFamily, probes, M: float) -> list[tuple[flo
     except ValueError:
         xs = None
     if xs is None or xs.shape[1] != fam.dim:
-        xs = np.array([_probe_vector(x, fam.dim, f"probes[{k}]")[0] for k, x in enumerate(probes)])
+        xs = np.array([_probe_vector(x, fam.dim, f"probes[{k}]") for k, x in enumerate(probes)])
         xs = xs.reshape(-1, fam.dim)
     imgs = np.array([np.einsum("i,iab,b->a", w, fam.ops, x) for x in xs]).reshape(xs.shape)
-    x_sq = (np.abs(xs) ** 2).sum(axis=1)
-    inner = (imgs * np.concatenate((xs[1:], xs[:1])).conj()).sum(axis=1)
-    lhs = np.concatenate([(np.abs(imgs) ** 2).sum(axis=1), [abs(c) ** 2 for c in inner]])
+    x_sq = np.add.reduce(np.abs(xs) ** 2, axis=1)
+    inner = np.add.reduce(imgs * np.concatenate((xs[1:], xs[:1])).conj(), axis=1)
+    lhs = np.concatenate([np.add.reduce(np.abs(imgs) ** 2, axis=1), [abs(c) ** 2 for c in inner]])
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = np.concatenate((x_sq, x_sq * np.concatenate((x_sq[1:], x_sq[:1])))) * M
         holds = lhs <= rhs * (1.0 + CHECK_TOL)

@@ -40,7 +40,8 @@ class OperatorFamily:
     batched norm pass (linalg.spectral_norms), on first use; ||sum z_i
     A_i|| rides in that pass as one more slice when it comes first
     (weighted_sum_norm), and so does sum A_i A_i^* once formed.
-    ||A_i A_i^*|| is ||A_i||^2: no slice of its own.
+    ||A_i A_i^*|| is ||A_i||^2: no slice of its own.  Beside the last S,
+    the family keeps the last probe image and the last probe's ||x||^2.
     """
 
     def __init__(self, ops):
@@ -50,7 +51,7 @@ class OperatorFamily:
         self.ops = stack
         self.count = int(stack.shape[0])
         self.dim = int(stack.shape[1])
-        self._last_sum = (None, None)
+        self._last_sum = self._last_image = self._last_norm_sq = (None, None)
 
     def weighted_sum(self, z) -> np.ndarray:
         """S = sum z_i A_i, read-only, kept for the bytes of the last weights."""
@@ -59,6 +60,19 @@ class OperatorFamily:
             self._last_sum = (w.tobytes(), np.einsum("i,iab->ab", w, self.ops))
             self._last_sum[1].flags.writeable = False
         return self._last_sum[1]
+
+    def probe_image(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """sum w_i A_i x for checked w and x, read-only, kept for the bytes of the last w and x."""
+        if self._last_image[0] != (key := (w.tobytes(), x.tobytes())):
+            self._last_image = (key, np.einsum("i,iab,b->a", w, self.ops, x))
+            self._last_image[1].flags.writeable = False
+        return self._last_image[1]
+
+    def probe_norm_sq(self, x: np.ndarray) -> float:
+        """||x||^2 for a checked probe x, kept for the bytes of the last probe."""
+        if self._last_norm_sq[0] != (key := x.tobytes()):
+            self._last_norm_sq = (key, float(np.add.reduce(np.abs(x) ** 2)))
+        return self._last_norm_sq[1]
 
     @cached_property
     def sum_products(self) -> np.ndarray:
@@ -166,7 +180,7 @@ def cbs_operator_gap(z, fam: OperatorFamily) -> PsdGapResult:
     w = as_weights(z, fam.count)
     s = fam.weighted_sum(w)
     inner = s @ s.conj().T
-    raw = float((np.abs(w) ** 2).sum()) * fam.sum_products - inner
+    raw = float(np.add.reduce(np.abs(w) ** 2)) * fam.sum_products - inner
     gap = 0.5 * (raw + raw.conj().T)
     eigs = linalg.hermitian_eigenvalues(np.stack([gap, 0.5 * (inner + inner.conj().T)]))
     return PsdGapResult(gap, *_psd_verdict(eigs[0]), *_psd_verdict(eigs[1]))

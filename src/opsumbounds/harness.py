@@ -170,7 +170,7 @@ def verify_instance(alpha, fam: OperatorFamily, tol: float = bounds.CHECK_TOL, *
     reports = bounds.catalog_reports(w, fam, grid)
     gap = cbs_operator_gap(w, fam)
     lhs = reports[0].lhs_sq
-    rhs = float((np.abs(w) ** 2).sum()) * fam.sum_products_norm
+    rhs = float(np.add.reduce(np.abs(w) ** 2)) * fam.sum_products_norm
     m = bounds.tightest_report(reports).bound
 
     # the checks' names, left sides, bounds and verdicts as columns, in report order

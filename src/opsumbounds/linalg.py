@@ -65,8 +65,8 @@ def spectral_norms(ms) -> np.ndarray:
 
 
 def _require_hermitian(stack: np.ndarray) -> None:
-    asym = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    scale = np.abs(stack).max(axis=(1, 2))
+    asym = np.maximum.reduce(np.abs(stack - stack.conj().transpose(0, 2, 1)), axis=(1, 2))
+    scale = np.maximum.reduce(np.abs(stack), axis=(1, 2))
     bad = np.flatnonzero(asym > DEFAULT_TOL * scale)
     if bad.size:
         i = bad[0]

@@ -1,16 +1,22 @@
-"""The catalog's per-aggregate arithmetic and the checklist's scalar
-rules, kept as a test reference.
+"""The catalog's per-aggregate arithmetic, the probe pair without its
+memos and the checklist's scalar rules, kept as a test reference.
 
-bounds.catalog_reports forms each weight power sum sum |a_i|^x once and
-shares it between the aggregates, and takes its slack ratios, as
+bounds.catalog_reports forms the power sums sum v^x of the weights, the
+norms and the cross table each by one power call and one row reduction,
+and shares them between the aggregates; it takes its slack ratios, as
 harness.verify_instance takes its ratios and violations, from array
-expressions.  Here each aggregate forms its own sums and each ratio or
-violation is one scalar rule, as before; the bits must be the same.
+expressions.  The probe pair reads the family's memos of the last probe
+image and the last probe's ||x||^2.  Here each aggregate forms its own
+sums, one exponent at a time, each probe call forms its image and norms
+afresh, and each ratio or violation is one scalar rule, as before; the
+bits must be the same.
 """
 
 import math
 
 import numpy as np
+
+from opsumbounds.bounds import CHECK_TOL
 
 
 def slack_ratio(lhs_sq: float, bound: float) -> float:
@@ -49,3 +55,27 @@ def pair_weight(wa: np.ndarray, sums: dict, r: float) -> float:
     if inside <= 0.0:
         return 0.0
     return inside ** (1.0 / r)
+
+
+def cross_aggregate(off: np.ndarray, s: float) -> float:
+    """(sum_{i != j} cross^s)^(1/s) over the n x n table off, its sum a
+    reduction of its own; s = inf gives the largest entry."""
+    if s == math.inf:
+        return float(off.max())
+    return float((off**s).sum()) ** (1.0 / s)
+
+
+def vector_image_bound(w: np.ndarray, ops: np.ndarray, x: np.ndarray, M: float) -> tuple:
+    """bounds.vector_image_bound on checked arrays, its image and ||x||^2
+    formed afresh: no memo of the family's is read."""
+    lhs = float(np.add.reduce(np.abs(np.einsum("i,iab,b->a", w, ops, x)) ** 2))
+    rhs = float(np.add.reduce(np.abs(x) ** 2)) * M
+    return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)
+
+
+def bilinear_bound(w: np.ndarray, ops: np.ndarray, x: np.ndarray, y: np.ndarray, M: float) -> tuple:
+    """bounds.bilinear_bound on checked arrays, its image and both squared
+    norms formed afresh."""
+    lhs = float(abs(np.add.reduce(np.einsum("i,iab,b->a", w, ops, x) * y.conj())) ** 2)
+    rhs = float(np.add.reduce(np.abs(x) ** 2)) * float(np.add.reduce(np.abs(y) ** 2)) * M
+    return lhs, rhs, lhs <= rhs * (1.0 + CHECK_TOL)

@@ -243,22 +243,38 @@ def _bits(values) -> bytes:
     return np.array(values, dtype=np.float64).tobytes()
 
 
+class _CrossRoot:
+    # a stand-in for one power sum of _power_sums: the reference weight and
+    # norm aggregates read none, and catalog_reports takes each cross
+    # aggregate as the root of its sum, which here is cross_aggregate's
+    def __init__(self, values, s):
+        self.values, self.s = values, s
+
+    def __pow__(self, exponent):
+        n = math.isqrt(self.values.size)
+        return catalog_reference.cross_aggregate(self.values.reshape(n, n), self.s)
+
+
 def _reference_catalog(monkeypatch, w, fam, grid):
     # every aggregate forms its own power sums, as catalog_reference does
     with monkeypatch.context() as patched:
-        patched.setattr(bounds, "_power_sums", lambda values, exps: {})
+        patched.setattr(bounds, "_power_sums", lambda values, table: {x: _CrossRoot(values, x) for x in table[1]})
         patched.setattr(bounds, "_lp_aggregate", catalog_reference.lp_aggregate)
         patched.setattr(bounds, "_pair_weight", catalog_reference.pair_weight)
         return catalog_reports(w, fam, grid)
 
 
-@pytest.mark.parametrize("grid", [None, (1.5, 3.0), (2.0, 4.0), (1.25, 2.5)])
+@pytest.mark.parametrize("grid", [None, (1.5, 3.0), (2.0, 4.0), (1.25, 2.5), (1.1, 2.0, 7.0)])
 def test_shared_power_sums_match_the_per_aggregate_catalog(monkeypatch, grid):
     # grids whose exponents coincide (2p of one entry is another), n = 1..8,
     # weights whose powers overflow to inf and nan entries (1e60 at the
     # default grid, 1e150 at every grid), zero weights, and a family whose
     # sum cancels: the last two give a zero left side, so ratios of 1 and
-    # of inf; three orthogonal projections add the orthogonal entries
+    # of inf; three orthogonal projections add the orthogonal entries, and
+    # 60 vectors the 3600-entry Gram cross table.  Every grid holds the
+    # exponent 2.0, whose batched powers must be np.square's, not pow's;
+    # a last-bit change in one square mostly rounds away in a sum, and the
+    # 60 vectors' seed is one where it reaches the bounds
     rng = PortableRng(8100)
     cases = []
     for n in range(1, 9):
@@ -266,6 +282,8 @@ def test_shared_power_sums_match_the_per_aggregate_catalog(monkeypatch, grid):
         cases += [(w * scale, fam) for scale in (1e-60, 1.0, 1e60, 1e150, 0.0)]
     a = rng.complex_normal((4, 4))
     cases += [(np.ones(2), OperatorFamily(np.stack([a, -a]))), (np.ones(3), _projections(3))]
+    big = PortableRng(8113)
+    cases.append((big.complex_normal(60), VectorFamily(big.complex_normal((60, 16)))))
     seen = set()
     for w, fam in cases:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -503,3 +521,125 @@ def test_probe_checks_name_the_first_bad_probe_as_the_pair_does(case):
     with pytest.raises(cls) as exc:
         vector_image_bound(w, fam, probes[first], 1.0)
     assert type(exc.value) is cls
+
+
+# -- the family's probe memos ----------------------------------------------------
+
+
+def _checked(v):
+    return np.ascontiguousarray(np.asarray(v, dtype=np.complex128))
+
+
+def _pair_reference(w, fam, calls, m):
+    # each call of the pair by the memo-free formulas, on checked copies
+    wv = _checked(w)
+    return [catalog_reference.vector_image_bound(wv, fam.ops, *map(_checked, call), m) if len(call) == 1
+            else catalog_reference.bilinear_bound(wv, fam.ops, *map(_checked, call), m) for call in calls]
+
+
+def _pair_calls(w, fam, calls, m):
+    return [vector_image_bound(w, fam, *call, m) if len(call) == 1 else bilinear_bound(w, fam, *call, m)
+            for call in calls]
+
+
+# every kind, d 1-9 and n 1-6 (d raised to n where the kind needs d >= n)
+MEMO_SPECS = [harness.InstanceSpec(kind, max(d, n) if kind in ("BlockOrthogonal", "OrthonormalRankOne") else d,
+                                   n, 40 * d + n)
+              for kind in harness.KINDS for d in range(1, 10) for n in range(1, 7)]
+
+
+def test_probe_pair_matches_the_memo_free_formulas():
+    # the bench's call order (image of x_j, then the pair (x_j, x_{j+1})),
+    # then the same calls shuffled, on the same family
+    order = PortableRng(5)
+    for spec in MEMO_SPECS:
+        w, fam, _ = harness.generate(spec)
+        m = tightest_report(catalog_reports(w, fam)).bound
+        prng = PortableRng(spec.seed)
+        probes = [prng.complex_normal(fam.dim) for _ in range(8)]
+        calls = [c for j, x in enumerate(probes) for c in ((x,), (x, probes[(j + 1) % 8]))]
+        assert repr(_pair_calls(w, fam, calls, m)) == repr(_pair_reference(w, fam, calls, m)), spec
+        calls = [calls[k] for k in order.permutation(len(calls))]
+        assert repr(_pair_calls(w, fam, calls, m)) == repr(_pair_reference(w, fam, calls, m)), spec
+
+
+def _fresh(w, fam, calls, m):
+    # the pair's rows, call by call, against the memo-free formulas at the
+    # values each call sees
+    for call in calls:
+        got = _pair_calls(w, fam, [call], m)
+        assert repr(got) == repr(_pair_reference(w, fam, [call], m)), call
+
+
+def _probe_changed_in_place(w, fam, other, x, y, z):
+    probe = x.copy()
+    _fresh(w, fam, [(probe,), (probe, y)], 1.0)
+    probe[:] = z
+    _fresh(w, fam, [(probe,), (probe, y), (y, probe)], 1.0)
+
+
+def _weights_changed_in_place(w, fam, other, x, y, z):
+    weights = w.copy()
+    _fresh(weights, fam, [(x,), (x, y)], 1.0)
+    weights[:] = z[:3]
+    _fresh(weights, fam, [(x,), (x, y)], 1.0)
+
+
+def _one_probe_on_two_families(w, fam, other, x, y, z):
+    probe = x.copy()
+    _fresh(w, fam, [(probe,)], 1.0)
+    _fresh(w, other, [(probe,)], 1.0)
+    probe[:] = y
+    _fresh(w, other, [(probe,)], 1.0)
+    _fresh(w, fam, [(probe,), (probe, probe)], 1.0)
+
+
+def _lists(w, fam, other, x, y, z):
+    # read afresh on each call
+    _fresh(w, fam, [(x.tolist(),), (y.tolist(),), (x.tolist(), z.tolist()), (z.tolist(), y.tolist())], 1.0)
+    _fresh(list(w), fam, [(x,)], 1.0)
+    _fresh(list(w * 2.0), fam, [(x,)], 1.0)
+
+
+def _strided(w, fam, other, x, y, z):
+    # checked copies are made afresh on each call
+    base = np.concatenate((x, y)).reshape(2, 4).T.ravel()
+    _fresh(w, fam, [(base[::2],), (base[1::2],), (base[::2], base[1::2]), (base[1::2], base[::2])], 1.0)
+    base[:] = np.concatenate((z, x))
+    _fresh(w, fam, [(base[::2],), (base[::2], base[1::2])], 1.0)
+
+
+@pytest.mark.parametrize("case", [_probe_changed_in_place, _weights_changed_in_place, _one_probe_on_two_families,
+                                  _lists, _strided])
+def test_probe_memos_never_serve_stale_values(case):
+    w, fam, _ = harness.generate(harness.InstanceSpec("GaussianDense", 4, 3, 9))
+    other = OperatorFamily(PortableRng(10).complex_normal((3, 4, 4)))
+    rng = PortableRng(11)
+    case(w, fam, other, *(rng.complex_normal(4) for _ in range(3)))
+
+
+def test_an_ensemble_instance_forms_each_probe_image_and_norm_once(monkeypatch):
+    w, fam, _ = harness.generate(harness.InstanceSpec("GaussianDense", 5, 4, 3))
+    prng = PortableRng(12)
+    probes = [prng.complex_normal(5) for _ in range(8)]
+    images, norms = [], []
+    einsum, absolute = np.einsum, np.abs
+
+    def counting_einsum(subscripts, *ops, **kw):
+        if subscripts == "i,iab,b->a":
+            images.append(ops[2])
+        return einsum(subscripts, *ops, **kw)
+
+    def counting_abs(a, *args, **kw):
+        if any(a is x for x in probes):
+            norms.append(a)
+        return absolute(a, *args, **kw)
+
+    m = tightest_report(catalog_reports(w, fam)).bound
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    monkeypatch.setattr(np, "abs", counting_abs)
+    for j, x in enumerate(probes):
+        vector_image_bound(w, fam, x, m)
+        bilinear_bound(w, fam, x, probes[(j + 1) % 8], m)
+    assert [id(x) for x in images] == [id(x) for x in probes]
+    assert 0 < len(norms) <= 9

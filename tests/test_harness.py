@@ -296,11 +296,12 @@ def test_verify_forms_each_probe_image_once(monkeypatch):
     # the catalog checks the weights once, and probe_checks once; the norm
     # pass and the PSD gap share one S
     assert (len(images), len(weight_checks), len(sums)) == (9, 2, 1)
-    # the pair keeps its work: one check of the weights and one image a call
+    # the pair keeps its work: one check of the weights a call, and one
+    # image for the pair on the same weights and probe
     del images[:], weight_checks[:]
     bounds.vector_image_bound(w, fam, np.ones(5), 1.0)
     bounds.bilinear_bound(w, fam, np.ones(5), np.ones(5), 1.0)
-    assert (len(images), len(weight_checks)) == (2, 2)
+    assert (len(images), len(weight_checks)) == (1, 2)
 
 
 def test_probe_checks_of_no_probes_are_empty():
