@@ -1,21 +1,21 @@
 """Problem-file loading, validation, and deterministic emission.
 
 The on-disk format is JSON with every complex number written as a
-two-element [re, im] array.  Loading converts each of weights, operators
-and vectors with one np.array call to float64 of shape (..., 2), viewed
-as complex, and checks the shape and the leaf types (JSON numbers only,
-no bools, strings or nulls) of the whole array at once; only input of
-the wrong shape or types is walked entry by entry, to name the first bad
-entry.  _check_problem then checks what the arrays hold: it is the one
-validator of the loader and both writers, so no problem is written that
-load_problem rejects.  Emission is hand-rolled rather than fed through a
-generic serializer so the byte stream is fixed: fixed key order, fixed
-indentation, LF endings, and every float printed as '%.17g' prints it
-(17 significant digits round-trip float64 exactly): by an exact
-vectorized route where %g prints fixed notation (_fixed_text), by
-Python elsewhere.  Every array is written in blocks of _BLOCK floats,
-whatever its shape: write_problem writes each block as it is formatted,
-and emit_problem joins the same pieces.
+two-element [re, im] array.  Loading walks the top-level object itself
+and hands each value to the scanner of json.loads, the stack one member
+at a time: a member is converted to float64 by one np.array call, its
+leaf types checked (JSON numbers only) and its tree dropped before the
+next is read.  Text the walk does not take goes to the tree route, whose
+checks alone raise: json.loads, one conversion per array, and an entry
+by entry walk to name the first bad entry.  _check_problem, the one
+validator of the loader and both writers, checks what the arrays hold.
+Emission is hand-rolled so the byte stream is fixed: fixed key order,
+fixed indentation, LF endings, and every float printed as '%.17g' prints
+it (17 significant digits round-trip float64 exactly), by an exact
+vectorized route where %g prints fixed notation (_fixed_text), by Python
+elsewhere, but -0.0 as '-0.0'.  Every array is written in blocks of
+_BLOCK floats: write_problem writes each as it is formatted, and
+emit_problem joins the same pieces.
 """
 
 from __future__ import annotations
@@ -54,34 +54,31 @@ class ProblemFile:
 
     @property
     def count(self) -> int:
-        if self.operators is not None:
-            return int(self.operators.shape[0])
-        return int(self.vectors.shape[0])
+        return int(getattr(self, self.mode).shape[0])
 
 
 _NUMBER_TYPES = {int, float}
 
 
-def _parse_array(node, shape: tuple, where: str) -> np.ndarray:
-    """node as a complex array of `shape`, each entry an [re, im] pair.
+def _number_pairs(node) -> np.ndarray:
+    """node as float64 [re, im] pairs by one np.array call, with its bools, strings and nulls refused."""
+    arr = np.array(node, dtype=np.float64)
+    leaves = node
+    for _ in range(arr.ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    if arr.shape[-1:] != (2,) or not set(map(type, leaves)) <= _NUMBER_TYPES:
+        raise ValueError("not an array of [re, im] number pairs")
+    return arr
 
-    One np.array conversion reads the whole node.  np.array also takes
-    bools and numeric strings as numbers and maps null to nan, so the
-    types of the flattened leaves are checked in one pass as well; the
-    finiteness is _check_problem's.  Only when the conversion, the shape
-    or the types fail is the node walked entry by entry, to name the
-    first bad entry.
-    """
+
+def _parse_array(node, shape: tuple, where: str) -> np.ndarray:
+    """node as a complex array of `shape`; if it is not one, its first bad entry is named."""
     try:
-        arr = np.array(node, dtype=np.float64)
+        arr = _number_pairs(node)
     except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is not None and arr.shape == shape + (2,):
-        leaves = node
-        for _ in shape:
-            leaves = itertools.chain.from_iterable(leaves)
-        if set(map(type, leaves)) <= _NUMBER_TYPES:
-            return arr.view(np.complex128).reshape(shape)
+        return arr.view(np.complex128).reshape(shape)
     _raise_first_defect(node, shape, where)
     raise SchemaError(f"{where} is not an array of [re, im] number pairs")
 
@@ -117,15 +114,68 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_WHITESPACE = json.decoder.WHITESPACE.match
+_ITEMS = {"operators": "matrices", "vectors": "d-vectors"}  # the members of each stack
+
+
+def _members(text: str, i: int) -> tuple[np.ndarray, int]:
+    """The stack at text[i] as a complex array, and the end of its text;
+    each member is scanned and converted before the next is read."""
+    members, i = [], _WHITESPACE(text, i).end()
+    while text.startswith("," if members else "[", i):
+        node, i = _DECODER.scan_once(text, _WHITESPACE(text, i + 1).end())
+        members.append(_number_pairs(node))
+        del node  # one member's tree at a time
+        i = _WHITESPACE(text, i).end()
+    if not text.startswith("]", i):
+        raise ValueError(f"',' or ']' expected at {i}")
+    return np.stack(members).view(np.complex128)[..., 0], i + 1
+
+
+def _walk(text: str) -> ProblemFile:
+    """The problem in text, each top-level value read by the scanner of
+    json.loads, the stack by _members; raises for any text it does not take."""
+    doc, i = {}, _WHITESPACE(text, 0).end()
+    while text.startswith("," if doc else "{", i):
+        i = _WHITESPACE(text, i + 1).end()
+        if not text.startswith('"', i):
+            raise ValueError(f"a key expected at {i}")
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = _WHITESPACE(text, i).end()
+        if not text.startswith(":", i) or key in doc:
+            raise ValueError(f"':' after a new key expected at {i}")
+        i = _WHITESPACE(text, i + 1).end()
+        doc[key], i = _members(text, i) if key in _ITEMS else _DECODER.scan_once(text, i)
+        i = _WHITESPACE(text, i).end()
+    if not text.startswith("}", i) or _WHITESPACE(text, i + 1).end() != len(text):
+        raise ValueError(f"'}}' closing the text expected at {i}")
+    key = _header(doc)[0]
+    return _problem(doc, key, doc[key])
+
+
 def loads_problem(text: str) -> ProblemFile:
-    """The problem in text: the JSON turned into arrays of the header's
-    shapes, then checked by _check_problem."""
+    """The problem in text, read by _walk; any text _walk does not take
+    is read as one JSON tree, whose checks raise what is wrong with it."""
+    try:
+        return _walk(text)
+    except (ValueError, TypeError, OverflowError, StopIteration, RecursionError):
+        pass
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise ParseError("not valid JSON: nested too deeply to read") from None
+    key, inner = _header(doc)
+    node = doc[key]
+    if not (isinstance(node, list) and node):
+        raise SchemaError(f"{key} must be a nonempty list of {_ITEMS[key]}")
+    return _problem(doc, key, _parse_array(node, (len(node),) + inner, key))
+
+
+def _header(doc) -> tuple[str, tuple]:
+    """The stack's key and member shape, after the checks of the top level's fields."""
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     extra = set(doc) - _TOP_KEYS
@@ -134,13 +184,12 @@ def loads_problem(text: str) -> ProblemFile:
     for key in ("schema_version", "dim"):
         if key not in doc:
             raise SchemaError(f"missing field {key}")
-    key, inner = _check_header(doc["schema_version"], doc["dim"], "operators" in doc, "vectors" in doc)
-    node = doc[key]
-    if not (isinstance(node, list) and node):
-        items = "matrices" if key == "operators" else "d-vectors"
-        raise SchemaError(f"{key} must be a nonempty list of {items}")
-    stack = _parse_array(node, (len(node),) + inner, key)
-    weights = _parse_array(doc["weights"], (len(node),), "weights") if "weights" in doc else None
+    return _check_header(doc["schema_version"], doc["dim"], "operators" in doc, "vectors" in doc)
+
+
+def _problem(doc: dict, key: str, stack: np.ndarray) -> ProblemFile:
+    """The problem of a checked top level and its complex stack, after _check_problem."""
+    weights = _parse_array(doc["weights"], stack.shape[:1], "weights") if "weights" in doc else None
     ops, vecs = (stack, None) if key == "operators" else (None, stack)
     pf = ProblemFile(SCHEMA_VERSION, doc["dim"], weights, ops, vecs)
     _check_problem(pf)
@@ -283,6 +332,7 @@ def _blocks(arr: np.ndarray, kind: str) -> Iterator[str]:
         out["text"][fast] = _fixed_text(x[fast])
         slow = x[~fast].tolist()  # 24 >= len('%.17g' % v)
         out["text"][~fast] = np.frombuffer(b"%-24.17g" * len(slow) % tuple(slow), dtype="S24")
+        out["text"][np.signbit(x) & (x == 0)] = b"-0.0"  # '-0' would read back as the integer 0
         yield out.tobytes().translate(_SPACE, b"\0 ").decode("ascii")
     yield close
 

@@ -34,11 +34,16 @@ def violation(lhs: float, bound: float) -> float:
     return 0.0 if lhs <= 0.0 else math.inf
 
 
+def power_sum(values: np.ndarray, x: float) -> float:
+    """sum v^x over the 1-d values, by one power call and one sum for x alone."""
+    return float((values**x).sum())
+
+
 def lp_aggregate(values: np.ndarray, sums: dict, p: float) -> float:
     """bounds._lp_aggregate, forming its own sum; sums is not read."""
     if p == math.inf:
         return float(values.max()) ** 2
-    return float((values ** (2.0 * p)).sum()) ** (1.0 / p)
+    return power_sum(values, 2.0 * p) ** (1.0 / p)
 
 
 def pair_weight(wa: np.ndarray, sums: dict, r: float) -> float:
@@ -49,8 +54,8 @@ def pair_weight(wa: np.ndarray, sums: dict, r: float) -> float:
             return 0.0
         top = np.partition(wa, n - 2)[n - 2 :]
         return float(top[0]) * float(top[1])
-    s1 = float((wa**r).sum())
-    s2 = float((wa ** (2.0 * r)).sum())
+    s1 = power_sum(wa, r)
+    s2 = power_sum(wa, 2.0 * r)
     inside = s1 * s1 - s2
     if inside <= 0.0:
         return 0.0
@@ -62,7 +67,7 @@ def cross_aggregate(off: np.ndarray, s: float) -> float:
     reduction of its own; s = inf gives the largest entry."""
     if s == math.inf:
         return float(off.max())
-    return float((off**s).sum()) ** (1.0 / s)
+    return power_sum(off.ravel(), s) ** (1.0 / s)
 
 
 def vector_image_bound(w: np.ndarray, ops: np.ndarray, x: np.ndarray, M: float) -> tuple:

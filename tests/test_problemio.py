@@ -1,8 +1,11 @@
 import hashlib
+import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
+import problem_reference
 import pytest
 
 from opsumbounds import problemio
@@ -184,11 +187,14 @@ def test_frozen_emission_digests():
         np.array([[[complex(-0.0, tiny), complex(big, -0.0)], [complex(3.0, -7.0), complex(-tiny, -big)]],
                   [[0j, complex(1e16, -2.0)], [complex(0.1, 123456789.0), complex(2.0**53, -1.0)]]]),
         None)
-    assert _sha256(emit_problem(special)) == "3696fa823141002f128780b203babd4482022a8e0f9c3b6036b53b3d6715dbee"
+    # this and the last text hold -0.0, which is written '-0.0' (it was
+    # '-0', read back as +0.0); the digests differ from the per-entry
+    # emitter's only there
+    assert _sha256(emit_problem(special)) == "e3859bf09bfc2f54cac198b2ae09a6841ed083be870a75de701cf4f7587f8f0b"
     text = ('{"schema_version":"1","dim":3,"vectors":[[[1,0],[-0.0,2],[12345678901234567890,-3]],'
             '[[5e-324,-5e-324],[1.7976931348623157e308,0],[-1.7976931348623157e308,1e-300]]]}')
     assert _sha256(emit_problem(loads_problem(text))) == (
-        "c039db5886859a57ba6cea132dbe127fb6ca1f6f866c03f6e2016820f544e7cc")
+        "e214763c2910aa82395d1caa0de0090ec318287ce9403cdfd0319388b6826f51")
 
 
 def test_round_trip_is_exact():
@@ -200,9 +206,19 @@ def test_round_trip_is_exact():
         operators=rng.complex_normal((2, 3, 3)),
         vectors=None,
     )
-    back = loads_problem(emit_problem(pf))
-    assert back.weights.tobytes() == pf.weights.tobytes()
-    assert back.operators.tobytes() == pf.operators.tobytes()
+    # signed zeros in both parts of the weights, an operator and a vector:
+    # a -0.0 must come back with its sign bit set
+    pf.weights[0] = complex(-0.0, 1.0)
+    pf.weights[1] = complex(0.0, -0.0)
+    pf.operators[1, 2] = [complex(-0.0, -0.0), complex(2.0, -0.0), complex(-0.0, 0.0)]
+    vecs = ProblemFile("1", 2, None, None, np.array([[complex(-0.0, 0.0), complex(1.0, -0.0)]]))
+    for case in (pf, vecs):
+        back = loads_problem(emit_problem(case))
+        for key in ("weights", "operators", "vectors"):
+            want = getattr(case, key)
+            if want is not None:
+                assert getattr(back, key).tobytes() == want.tobytes(), key
+    assert np.signbit(back.vectors.real).tolist() == [[True, False]]
 
 
 def test_double_emission_is_stable():
@@ -228,11 +244,13 @@ def test_format_float_pins_seventeen_digits():
 
 
 def _whole_text_rows(arr):
+    # every float as '%.17g' prints it, but -0.0 as '-0.0': '%.17g' prints
+    # '-0', which JSON reads back as the integer 0
     c = np.ascontiguousarray(arr, dtype=np.complex128)
     d = c.shape[-1]
     template = "[" + ",".join(["[%.17g,%.17g]"] * d) + "]"
     rows = c.view(np.float64).reshape(int(np.prod(c.shape[:-1])), 2 * d).tolist()
-    return [template % tuple(row) for row in rows]
+    return [re.sub(r"(?<=[\[,])-0(?=[,\]])", "-0.0", template % tuple(row)) for row in rows]
 
 
 def _whole_text_emit(pf):
@@ -401,7 +419,7 @@ def test_loader_and_writers_share_one_validator(tmp_path, monkeypatch):
 
 def _formatter_cases():
     """About a million float64 values, both signs of each: random bit
-    patterns, subnormals, every decade from 1e-6 to 1e18, exact ties of
+    patterns, zeros, subnormals, every decade from 1e-6 to 1e18, exact ties of
     17-digit rounding, integers in [1e16, 1e18], and the powers of ten
     (1e-4 and 1e17, the ends of the vector route, among them) with their
     neighbours."""
@@ -420,7 +438,7 @@ def _formatter_cases():
         for _ in range(3):
             step = np.nextafter(step, toward)
             near.append(step)
-    extremes = np.array([0.0, 5e-324, 1.7976931348623157e308])
+    extremes = np.concatenate([np.zeros(1000), [5e-324, 1.7976931348623157e308]])
     values = np.concatenate([random_bits[np.isfinite(random_bits)], subnormals, decades, ties, integers,
                              *near, extremes])
     return np.concatenate([values, -values])
@@ -439,7 +457,224 @@ def test_rows_print_every_float_as_percent_17g():
     for index, d in ((by_route, 64), (rest, 1500)):
         flat = values[index[:index.size // (2 * d) * 2 * d]]
         pf = ProblemFile("1", d, None, None, flat.view(np.complex128).reshape(-1, d))
-        got, want = emit_problem(pf).splitlines(), _whole_text_emit(pf).splitlines()
+        text = emit_problem(pf)
+        got, want = text.splitlines(), _whole_text_emit(pf).splitlines()
         assert len(got) == len(want)
         bad = [k for k, (g, w) in enumerate(zip(got, want)) if g != w]
         assert not bad, f"{len(bad)} lines differ, the first at line {bad[0]} of d={d}"
+        # -0.0, and nothing else, is written -0.0; no float is written -0
+        tokens = re.split(r"[\[\],\s]+", text.split('"vectors": [', 1)[1])
+        negative_zero = np.signbit(flat) & (flat == 0)
+        assert negative_zero.any() and tokens.count("-0.0") == np.count_nonzero(negative_zero)
+        assert "-0" not in tokens
+
+
+# -- the loader against the tree loader it replaced -------------------------
+
+
+def _outcome(load, text):
+    # what a loader makes of text: the exception's class and message, or
+    # the problem with every array's dtype, shape and bytes
+    try:
+        pf = load(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = [None if a is None else (a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
+              for a in (pf.weights, pf.operators, pf.vectors)]
+    return pf.schema_version, type(pf.dim), pf.dim, arrays
+
+
+def _assert_same_outcome(text):
+    # the same outcome as the tree loader's; and every problem the tree
+    # loader takes is read by the walk alone, without the fallback
+    got, want = _outcome(loads_problem, text), _outcome(problem_reference.loads_problem, text)
+    assert got == want, text[:200]
+    if not isinstance(got[0], type):
+        assert _outcome(problemio._walk, text) == got, text[:200]
+    return got
+
+
+def _written_texts():
+    # writer output at several shapes and scales, subnormals among them
+    rng = PortableRng(30)
+    texts = []
+    for d, n in [(1, 1), (2, 3), (5, 4)]:
+        for scale in (1.0, 1e300, 1e-300, 1e-310):
+            w = scale * rng.complex_normal(n)
+            texts.append(emit_problem(ProblemFile("1", d, w, scale * rng.complex_normal((n, d, d)), None)))
+            texts.append(emit_problem(ProblemFile("1", d, w, None, scale * rng.complex_normal((n, d)))))
+        texts.append(emit_problem(ProblemFile("1", d, None, None, rng.complex_normal((n, d)))))
+    texts.append(emit_problem(ProblemFile("1", 2, np.array([5e-324, -0.0]), None,
+                                          np.array([[complex(5e-324, -5e-324), 0j], [1e-310j, complex(-0.0, 1.0)]]))))
+    return texts
+
+
+def _head(dim=1):
+    return f'"schema_version": "1", "dim": {dim}'
+
+
+def _hand_texts():
+    ops = '"operators": [[[[1,0]]]]'
+    return [
+        # integer tokens, 400-digit integers, 1e400, NaN and Infinity
+        '{"schema_version":"1","dim":2,"weights":[[1,0],[2,-3]],"operators":[[[[1,2],[3,4]],[[5,6],[7,8]]],'
+        '[[[0,0],[1,0]],[[-1,0],[0,-0]]]]}',
+        f'{{{_head()}, "weights": [[{_BIG},0]], {ops}}}',
+        f'{{{_head()}, "weights": [[1,0]], "operators": [[[[1,-{_BIG}]]]]}}',
+        f'{{{_head()}, "vectors": [[[{_BIG},0]]]}}',
+        f'{{{_head()}, "vectors": [[[1e400,0]]]}}',
+        f'{{{_head()}, "weights": [[1,-1e400]], "vectors": [[[1,0]]]}}',
+        f'{{{_head(2)}, "vectors": [[[1,0],[NaN,0]]]}}',
+        f'{{{_head()}, "weights": [[Infinity,0]], {ops}}}',
+        f'{{{_head()}, "weights": [[1,0]], "operators": [[[[-Infinity,0]]]]}}',
+        f'{{{_head()}, "vectors": [[[12345678901234567890,-3]]]}}',
+        # bools, strings and null in the stack and in the weights
+        *(f'{{{_head()}, "weights": [[{v},0]], {ops}}}' for v in ("true", "false", '"1"', "null")),
+        *(f'{{{_head(2)}, "vectors": [[[1,0],[0,{v}]]]}}' for v in ("true", '"x"', '"1"', "null")),
+        *(f'{{{_head()}, "weights": [[1,0]], "operators": [[[[{v},0]]]]}}' for v in ("false", '"2"', "null")),
+        # ragged members, a wrong dim, members of the wrong depth
+        f'{{{_head(2)}, "vectors": [[[1,0],[0,1]],[[1,0]]]}}',
+        f'{{{_head(2)}, "vectors": [[[1,0],[0,1]],[[1,0],[0]]]}}',
+        f'{{{_head(2)}, "vectors": [[[1,0],[0,1]],[[1,0],[0,1,2]]]}}',
+        f'{{{_head(2)}, "weights": [[1,0]], "operators": [[[[1,0],[0,0]],[[0,0]]]]}}',
+        f'{{{_head(3)}, "vectors": [[[1,0],[0,1]]]}}',
+        f'{{{_head(1)}, "weights": [[1,0]], "operators": [[[[1,0]],[[2,0]]]]}}',
+        f'{{{_head(1)}, "weights": [[1,0]], "operators": [[[1,0]]]}}',
+        f'{{{_head(1)}, "weights": [[1,0]], "operators": [[[[[1,0]]]]]}}',
+        f'{{{_head(1)}, "vectors": [[1,0]]}}',
+        f'{{{_head(1)}, "vectors": [1]}}',
+        f'{{{_head(1)}, "vectors": [[[[1,0]]]]}}',
+        f'{{{_head(1)}, "vectors": []}}',
+        f'{{{_head(1)}, "vectors": {{}}}}',
+        f'{{{_head(1)}, "vectors": 5}}',
+        f'{{{_head(2)}, "vectors": [[[0,0],[0,0]]]}}',
+        f'{{{_head(1)}, "weights": [[1,0],[2,0]], "vectors": [[[1,0]]]}}',
+        f'{{{_head(1)}, "weights": [], "vectors": [[[1,0]]]}}',
+        f'{{{_head(1)}, "weights": [[1,0]]}}',
+        f'{{{_head(1)}, {ops}}}',
+        f'{{{_head(1)}, "weights": [[1,0]], {ops}, "vectors": [[[1,0]]]}}',
+        # extra, missing and repeated keys, at the top and inside a member
+        f'{{{_head()}, "extra": 0, "vectors": [[[1,0]]]}}',
+        '{"dim": 1, "vectors": [[[1,0]]]}',
+        '{"schema_version": "1", "vectors": [[[1,0]]]}',
+        '{}',
+        f'{{{_head()}, "vectors": [[[1,0]]], "dim": 1}}',
+        f'{{{_head()}, "vectors": [[[1,0]]], "vectors": [[[1,0]]]}}',
+        f'{{{_head()}, "weights": [[5,0]], {ops}, "weights": [[1,0]]}}',
+        f'{{{_head()}, "vectors": [{{"re": 1, "re": 2}}]}}',
+        f'{{{_head()}, "vectors": [[{{"re": 1, "im": 0}}]]}}',
+        f'{{{_head()}, "vectors": [[{{}}]]}}',
+        f'{{{_head()}, "weights": [{{"a": [1,0], "a": [2,0]}}], "vectors": [[[1,0]]]}}',
+        '{"schema_version": {"v": 1, "v": 1}, "dim": 1, "vectors": [[[1,0]]]}',
+        # a bad header
+        '{"schema_version": "2", "dim": 1, "vectors": [[[1,0]]]}',
+        '{"schema_version": 1, "dim": 1, "vectors": [[[1,0]]]}',
+        *(f'{{"schema_version": "1", "dim": {v}, "vectors": [[[1,0]]]}}' for v in ("0", "true", "1.0", "-1", '"1"')),
+        # not a problem object at all
+        "", " ", "null", "[1, 2]", '"text"', "{nope", "}", "{", '{"dim"}', '{"dim": }', '{,}', '{"a" 1}',
+        # trailing commas, a BOM, trailing garbage
+        f'{{{_head()}, "vectors": [[[1,0]],]}}',
+        f'{{{_head()}, "vectors": [[[1,0]]],}}',
+        f'{{{_head()}, "vectors": [[[1,0],]]}}',
+        f'{{{_head()},, "vectors": [[[1,0]]]}}',
+        f'{{{_head()}, "vectors": [,[[1,0]]]}}',
+        f'\ufeff{{{_head()}, "vectors": [[[1,0]]]}}',
+        f'{{{_head()}, "vectors": [[[1,0]]]}}x',
+        f'{{{_head()}, "vectors": [[[1,0]]]}} {{}}',
+        f'{{{_head()}, "vectors": [[[1,0]]]}}}}',
+        f'{{{_head()}, "vectors": [[[1,0]]] ]}}',
+        f'{{{_head()}, "vectors": [[[1,0]] [[1,0]]]}}',
+        f'{{{_head()}, "vectors": [[[1,0]]]',
+        f'{{{_head()}, "vectors": [[[1,0]]',
+        f'{{{_head()} "vectors": [[[1,0]]]}}',
+        f'{{"schema_version" "1", "dim": 1, "vectors": [[[1,0]]]}}',
+        f'{{{_head()}, "vectors": [[[01,0]]]}}',
+        f'{{{_head()}, "vectors": [[[1.,0]]]}}',
+        f'{{{_head()}, "vectors": [[[+1,0]]]}}',
+        '{"schema_version": "1", "dim": 01, "vectors": [[[1,0]]]}',
+        '{"schema_\\u0076ersion": "1", "dim": 1, "vectors": [[[1,0]]]}',
+        '{"schema_version": "1", "dim": 1, "vectors": [[[1,0]]]}\n\r\t ',
+        '{"schema_version": "1", "dim": 1, "vectors\t": [[[1,0]]]}',
+        '{" dim": 1, "schema_version": "1", "vectors": [[[1,0]]]}',
+        '{"schema_version": "1\n", "dim": 1, "vectors": [[[1,0]]]}',
+        '{"schema_version": "1", "dim": 1, "vectors": [[[1,0]]]}\x00',
+        '{"schema_version": "1", "dim": 1, "vectors": [[[1,0]]]\u00a0}',
+        # nesting deeper than the parser's limit: stack, weights, the top
+        f'{{{_head()}, "vectors": [{"[" * 100_000}{"]" * 100_000}]}}',
+        f'{{{_head()}, "weights": {"[" * 100_000}{"]" * 100_000}, "vectors": [[[1,0]]]}}',
+        "[" * 100_000 + "]" * 100_000,
+        f'{{{_head()}, "vectors": [[[1,0]]], "x": {{"a": {"[" * 100_000}}}}}',
+    ]
+
+
+def _orders_and_spacing():
+    # writer output with its keys in every order, and re-spaced: tabs,
+    # CRLF, and no whitespace at all
+    rng = PortableRng(31)
+    texts = []
+    for pf in (ProblemFile("1", 2, rng.complex_normal(2), rng.complex_normal((2, 2, 2)), None),
+               ProblemFile("1", 3, rng.complex_normal(2), None, rng.complex_normal((2, 3))),
+               ProblemFile("1", 3, None, None, rng.complex_normal((2, 3)))):
+        text = emit_problem(pf)
+        items = json.loads(text, object_pairs_hook=list)
+        for order in itertools.permutations(items):
+            texts.append("{" + ", ".join(f'"{k}": {json.dumps(v)}' for k, v in order) + "}")
+        texts += [text.replace("  ", "\t"), text.replace("\n", "\r\n"), re.sub(r"\s", "", text),
+                  "\t\r\n " + text.replace(",", " ,\t").replace(":", "\r\n:\n")]
+    return texts
+
+
+@pytest.mark.parametrize("text", [*_written_texts(), *_hand_texts(), *_orders_and_spacing()])
+def test_loader_matches_the_tree_loader(text):
+    _assert_same_outcome(text)
+
+
+def test_loader_matches_the_tree_loader_on_every_one_character_edit():
+    # every single-character deletion and duplication of a small operators
+    # text and a small vectors text
+    rng = PortableRng(32)
+    seen = set()
+    for pf in (ProblemFile("1", 1, np.array([1.5, -2j]), np.array([[[0.25 - 1j]], [[3.0 + 0j]]]), None),
+               ProblemFile("1", 2, None, None, rng.complex_normal((2, 2)) * 1e-5)):
+        text = emit_problem(pf)
+        for k in range(len(text)):
+            for edit in (text[:k] + text[k + 1:], text[:k] + text[k] + text[k:]):
+                got = _assert_same_outcome(edit)
+                seen.add(got[0] if isinstance(got[0], type) else "loaded")
+    assert seen == {"loaded", ParseError, SchemaError}, seen
+
+
+def test_written_files_never_reach_the_tree_loader(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tree loader was reached")
+
+    texts = _written_texts() + [emit_problem(pf) for pf in _byte_cases().values()]
+    loaded = []
+    monkeypatch.setattr(problemio.json, "loads", refuse)
+    for k, text in enumerate(texts):
+        path = tmp_path / f"problem-{k}.json"
+        path.write_bytes(text.encode("utf-8"))
+        loaded.append(load_problem(path))
+    monkeypatch.undo()
+    for text, pf in zip(texts, loaded):
+        assert _outcome(lambda _: pf, text) == _outcome(problem_reference.loads_problem, text)
+
+
+@pytest.mark.parametrize("mode, shape, factor", [("vectors", (60, 1024), 3.0), ("operators", (8, 64, 64), 4.0)])
+def test_load_holds_one_member_tree_at_a_time(mode, shape, factor):
+    # the whole JSON tree of the d=1024, n=60 vectors text is about 12x the
+    # stack's bytes; a load that holds the arrays and one member's tree
+    # stays near twice them
+    rng = PortableRng(33)
+    stack = rng.complex_normal(shape)
+    pf = ProblemFile("1", shape[-1], rng.complex_normal(shape[0]),
+                     stack if mode == "operators" else None, stack if mode == "vectors" else None)
+    text = emit_problem(pf)
+    tracemalloc.start()
+    try:
+        loaded = loads_problem(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert getattr(loaded, mode).tobytes() == stack.tobytes()
+    assert peak <= factor * stack.nbytes, f"{peak / stack.nbytes:.2f}x the stack"
