@@ -60,11 +60,7 @@ from .problemio import (
     write_problem,
 )
 from .rng import PortableRng, derive_seed
-from .vectors import (
-    VectorFamily,
-    bessel_weighting,
-    rank_one_family,
-)
+from .vectors import VectorFamily, bessel_weighting
 
 __version__ = "0.1.0"
 
@@ -102,7 +98,6 @@ __all__ = [
     "load_problem",
     "loads_problem",
     "probe_checks",
-    "rank_one_family",
     "slack_sweep",
     "spectral_norm",
     "spectral_norms",

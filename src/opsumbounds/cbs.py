@@ -175,12 +175,12 @@ def cbs_operator_gap(z, fam: OperatorFamily) -> PsdGapResult:
 
     The assembled difference is symmetrized before eigenvalue analysis:
     the exact gap is self-adjoint, floating point is not quite.  The gap
-    and the symmetrized S S^* go to the eigensolver as one stack.
+    and S S^* as formed go to hermitian_eigenvalues, which symmetrizes both.
     """
     w = as_weights(z, fam.count)
     s = fam.weighted_sum(w)
     inner = s @ s.conj().T
     raw = float(np.add.reduce(np.abs(w) ** 2)) * fam.sum_products - inner
     gap = 0.5 * (raw + raw.conj().T)
-    eigs = linalg.hermitian_eigenvalues(np.stack([gap, 0.5 * (inner + inner.conj().T)]))
+    eigs = linalg.hermitian_eigenvalues(np.stack([gap, inner]))
     return PsdGapResult(gap, *_psd_verdict(eigs[0]), *_psd_verdict(eigs[1]))

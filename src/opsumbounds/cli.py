@@ -141,8 +141,6 @@ def _cmd_verify(args) -> int:
         if given:
             raise SchemaError(f"verify --input takes no {', '.join(given)}")
         _, weights, _, family = _load(args)
-        if isinstance(family, vectors.VectorFamily):
-            family = vectors.rank_one_family(family)
         origin = {"input": args.input}
     else:
         if args.kind is None or args.dim is None or args.count is None:

@@ -152,15 +152,19 @@ def _probes(dim: int, count: int) -> tuple[np.ndarray, ...]:
     return probes
 
 
-def verify_instance(alpha, fam: OperatorFamily, tol: float = bounds.CHECK_TOL, *,
+def verify_instance(alpha, fam: OperatorFamily | VectorFamily, tol: float = bounds.CHECK_TOL, *,
                     exponent_grid=None) -> VerificationResult:
     """Run every inequality in the catalog against one instance.
 
+    fam is an OperatorFamily, or a VectorFamily, which is verified through
+    its materialized operators, as generate builds the rank-one kinds.
     Records, per check: name, the exact quantity being dominated, the
     dominating quantity, whether it holds and the slack ratio.  tol is
     the relative tolerance of the catalog checks alone: cbs_norm and the
     probes hold at bounds.CHECK_TOL, the PSD checks at the gap's limits.
     """
+    if isinstance(fam, VectorFamily):
+        fam = rank_one_family(fam)
     if isinstance(tol, (bool, np.bool_)) or not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     w = as_weights(alpha, fam.count)

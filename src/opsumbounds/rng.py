@@ -28,6 +28,8 @@ the two versions round differently in a few percent of cases.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -74,7 +76,8 @@ class PortableRng:
     """Counter-based splitmix64 stream with uniform and normal draws."""
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(seed & _MASK64)
+        # index() first: numpy would turn the mask of a numpy-integer seed into a C long
+        self._seed = np.uint64(index(seed) & _MASK64)
         # The block holds the words after the first ``_base`` of the
         # stream; its first ``_pos`` words are already given out.
         self._base = 0
@@ -135,9 +138,9 @@ class PortableRng:
 
 def derive_seed(seed: int, *tags: int) -> int:
     """Mix extra integer tags into a seed to get an independent stream."""
-    z = seed & _MASK64
+    z = index(seed) & _MASK64
     for t in tags:
-        z ^= (t & _MASK64) * _GAMMA & _MASK64
+        z ^= (index(t) & _MASK64) * _GAMMA & _MASK64
         z = (z ^ (z >> 30)) * _MIX1 & _MASK64
         z = (z ^ (z >> 27)) * _MIX2 & _MASK64
         z ^= z >> 31

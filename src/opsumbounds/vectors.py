@@ -4,8 +4,8 @@ For nonzero vectors y_1..y_n, the operators A_i = y_i y_i^H / ||y_i||
 satisfy ||A_i|| = ||y_i|| and ||A_i A_j^H|| = |(y_i, y_j)|, so the whole
 bound catalog collapses to arithmetic over the Gram matrix: a
 VectorFamily goes to bounds.catalog_reports as it is, and never
-materializes the operators or their sum; the matrix path exists to
-cross-validate it.
+materializes the operators or their sum; the matrix path, which
+harness.verify_instance takes, cross-validates it.
 
 The left side uses the usual rank reduction: with Z the d x n matrix of
 columns y_i and D = diag(alpha_i / ||y_i||), the weighted sum is

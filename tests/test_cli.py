@@ -196,6 +196,13 @@ def test_bad_inputs_exit_2(ops_file, tmp_path, capsys):
                         '"weights":[[1,0]]}', encoding="utf-8")
     assert main(["bound", "--input", str(repeated)]) == 2
     assert main(["verify", "--input", str(repeated)]) == 2
+    capsys.readouterr()
+    # the loader names the first defect in document order: the NaN, not the ragged member after it
+    nan_ragged = tmp_path / "nan_ragged.json"
+    nan_ragged.write_text('{"schema_version": "1", "dim": 2, "vectors": [[[NaN, 0], [0, 0]], [[1, 0]]]}',
+                          encoding="utf-8")
+    assert main(["bound", "--input", str(nan_ragged)]) == 2
+    assert capsys.readouterr().err == "error: vectors[0][0] is not finite\n"
     assert main(["bound", "--input", ops_file, "--mode", "vectors"]) == 2
     assert main(["bound", "--input", ops_file, "--grid", "zzz"]) == 2
     # finite and > 1, but its conjugate p / (p - 1) rounds to 1
@@ -405,6 +412,12 @@ def test_sweep_rejects_bad_arguments(tmp_path, capsys):
     assert main(["sweep", "--kind", "NoSuchKind", "--dim", "3", "--count", "2",
                  "--seed", "0", "--out", out]) == 2
     capsys.readouterr()
+    # a range whose ends are no integers, and a kind list of no kinds
+    assert main(["sweep", "--dim", "3", "--count", "2", "--seed", "a:b", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: bad seed range 'a:b'; expected START:STOP\n"
+    assert main(["sweep", "--kind", " , ", "--dim", "3", "--count", "2", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: no instance kinds given\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 # exit code and sha256 of each report on fixed inputs: performance work

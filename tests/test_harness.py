@@ -6,7 +6,7 @@ import catalog_reference
 import numpy as np
 import pytest
 
-from opsumbounds import bounds, linalg
+from opsumbounds import bounds, harness, linalg
 from opsumbounds.bounds import catalog_reports, tightest_report
 from opsumbounds.cbs import OperatorFamily
 from opsumbounds.errors import InvalidSpec
@@ -24,6 +24,7 @@ from opsumbounds.harness import (
     write_slack_csv,
 )
 from opsumbounds.rng import PortableRng, derive_seed
+from opsumbounds.vectors import VectorFamily, bessel_weighting, rank_one_family
 
 
 def _reference_gram_schmidt(m):
@@ -125,8 +126,6 @@ def test_unitary_scaled_equals_the_per_matrix_reference(seed):
 
 
 def test_rank_one_kind_matches_vector_family():
-    from opsumbounds.vectors import rank_one_family
-
     _, fam, vf = generate(InstanceSpec("RankOneFromVectors", 6, 4, 2))
     assert vf is not None
     assert np.allclose(fam.ops, rank_one_family(vf).ops)
@@ -363,6 +362,42 @@ def test_check_names_are_built_once_per_grid():
     ortho = verify_instance(*generate(InstanceSpec("OrthonormalRankOne", 4, 4, 3))[:2])
     assert [c.name for c in ortho.checks][:64] == [c.name for c in first.checks][:64]
     assert sum(c.name.startswith("orthogonal:") for c in ortho.checks) == 7
+
+
+def test_check_names_stay_right_once_their_cache_is_cleared(monkeypatch):
+    # 16 grids fill the cache of check names; the 17th clears it, so the
+    # first grid's names are built again, and must come out the same
+    monkeypatch.setattr(harness, "_CHECK_NAMES", {})
+    w, fam, _ = generate(InstanceSpec("GaussianDense", 4, 3, 0))
+    grids = [(1.5 + k / 8,) for k in range(17)]
+    first = [c.name for c in verify_instance(w, fam, exponent_grid=grids[0]).checks]
+    for grid in grids[1:]:
+        verify_instance(w, fam, exponent_grid=grid)
+    assert [grid for grid, _ in harness._CHECK_NAMES] == [grids[-1]]
+    again = [c.name for c in verify_instance(w, fam, exponent_grid=grids[0]).checks]
+    assert again == first
+    labels = [f"{r.name}({r.exponents})" if r.exponents else r.name for r in catalog_reports(w, fam, grids[0])]
+    assert again[3:-18] == labels and "holder_count(p=1.5,q=3)" in again
+
+
+# the vectors and weights of a Gram-route case, with Bessel weights, and
+# the two subnormal vector files of the CLI tests
+VECTOR_CASES = [
+    (PortableRng(3).complex_normal((4, 6)), PortableRng(4).complex_normal(4)),
+    (PortableRng(3).complex_normal((4, 6)), None),
+    ([[1e-310, 0.0]], None),
+    ([[1e-310, 0.0], [0.6 + 0.1j, 0.3 - 0.2j]], None),
+]
+
+
+@pytest.mark.parametrize("vectors, weights", VECTOR_CASES, ids=["explicit", "bessel", "subnormal", "subnormal_pair"])
+def test_verify_takes_a_vector_family_as_its_materialized_operators(vectors, weights):
+    vf = VectorFamily(np.array(vectors, dtype=np.complex128))
+    w = bessel_weighting(vf) if weights is None else weights
+    got, want = verify_instance(w, vf), verify_instance(w, rank_one_family(vf))
+    assert repr(got.checks) == repr(want.checks)
+    assert (got.all_hold, got.worst_violation) == (want.all_hold, want.worst_violation)
+    assert got.all_hold
 
 
 def test_probes_are_cached_read_only_and_equal_a_fresh_draw():

@@ -124,6 +124,19 @@ def test_families_are_taken_as_given():
     assert "as_weights" in opsumbounds.__all__
 
 
+def test_rank_one_families_are_materialized_only_by_the_harness():
+    # verify_instance takes a VectorFamily as catalog_reports does: the
+    # CLI passes the loaded family on, and the package does not export
+    # the matrix route
+    text = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert "rank_one_family" not in text
+    checks = [ast.unparse(node) for node in ast.walk(ast.parse(text))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"]
+    assert not [check for check in checks if "VectorFamily" in check]
+    assert "rank_one_family" not in opsumbounds.__all__ and not hasattr(opsumbounds, "rank_one_family")
+    assert callable(vectors.rank_one_family)
+
+
 def _imported_siblings(path: Path) -> set:
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = set()

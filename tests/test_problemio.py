@@ -108,6 +108,12 @@ def test_nonfinite_entries_rejected():
     text = json.dumps({"schema_version": "1", "dim": 3, "weights": [[1, 0], [1, 0]], "operators": deep})
     with pytest.raises(ValueError, match=r"operators\[1\]\[2\]\[1\] is not finite"):
         loads_problem(text)
+    # a ragged stack converts to no array, so the walk of its pairs names
+    # the first defect in document order: the NaN before the ragged member
+    for tail in ("[[1, 0]]", "[[1, 0], [0, 0], [0, 0]]", "[[1, 0], [0]]"):
+        text = '{"schema_version": "1", "dim": 2, "vectors": [[[NaN, 0], [0, 0]], %s]}' % tail
+        with pytest.raises(ValueError, match=r"^vectors\[0\]\[0\] is not finite$"):
+            loads_problem(text)
 
 
 _BIG = "1" + "0" * 400

@@ -142,6 +142,28 @@ def test_derive_seed_matches_scalar_oracle():
     assert derive_seed(9, 4, 0) != derive_seed(9, 4)
 
 
+@pytest.mark.parametrize("kind, seed", [
+    (kind, seed) for kind in (np.int64, np.int32, np.uint8, np.uint64)
+    for seed in (5, 0, -1, 2**63 - 1, -(2**63)) if np.iinfo(kind).min <= seed <= np.iinfo(kind).max
+])
+def test_a_numpy_integer_seed_gives_the_stream_of_the_equal_int(kind, seed):
+    # numpy turned the 64-bit mask into a C long, which overflowed
+    assert PortableRng(kind(seed)).raw(4).tobytes() == PortableRng(seed).raw(4).tobytes()
+    assert derive_seed(kind(seed), kind(1), 2) == derive_seed(seed, 1, 2)
+    assert derive_seed(seed, kind(seed)) == derive_seed(seed, seed)
+    assert type(derive_seed(kind(seed), kind(1))) is int
+
+
+@pytest.mark.parametrize("bad", [5.0, np.float64(5.0), "5", None])
+def test_a_seed_or_tag_that_is_no_integer_raises_type_error(bad):
+    with pytest.raises(TypeError):
+        PortableRng(bad)
+    with pytest.raises(TypeError):
+        derive_seed(bad)
+    with pytest.raises(TypeError):
+        derive_seed(3, 1, bad)
+
+
 def _uniforms(seed, n, offset):
     return np.array([(x >> 11) * 2.0**-53 for x in _scalar_raw(seed, n, offset)])
 
