@@ -12,11 +12,9 @@ output.
 
 from .bounds import (
     BoundReport,
-    bilinear_bound,
     catalog_reports,
     probe_checks,
     tightest_report,
-    vector_image_bound,
 )
 from .cbs import (
     OperatorFamily,
@@ -46,9 +44,7 @@ from .harness import (
     write_slack_csv,
 )
 from .linalg import (
-    SpectralNormResult,
     hermitian_eigenvalues,
-    spectral_norm,
     spectral_norms,
 )
 from .problemio import (
@@ -80,14 +76,12 @@ __all__ = [
     "ProblemFile",
     "PsdGapResult",
     "SchemaError",
-    "SpectralNormResult",
     "VectorFamily",
     "VerificationResult",
     "ZeroVector",
     "PortableRng",
     "as_weights",
     "bessel_weighting",
-    "bilinear_bound",
     "catalog_reports",
     "cbs_operator_gap",
     "derive_seed",
@@ -99,10 +93,8 @@ __all__ = [
     "loads_problem",
     "probe_checks",
     "slack_sweep",
-    "spectral_norm",
     "spectral_norms",
     "tightest_report",
-    "vector_image_bound",
     "verify_instance",
     "write_problem",
     "write_slack_csv",

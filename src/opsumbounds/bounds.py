@@ -231,7 +231,8 @@ def _probe_vector(x, dim: int, where: str) -> np.ndarray:
 
 
 def vector_image_bound(alpha, fam: OperatorFamily, x, M: float) -> tuple[float, float, bool]:
-    """Check ||sum alpha_i A_i x||^2 <= M ||x||^2 for a concrete x."""
+    """Check ||sum alpha_i A_i x||^2 <= M ||x||^2 for one x; kept for bench/
+    until ROADMAP item 18, as probe_checks is the API."""
     w = as_weights(alpha, fam.count)
     xv = _probe_vector(x, fam.dim, "x")
     lhs, rhs = float(np.add.reduce(np.abs(fam.probe_image(w, xv)) ** 2)), fam.probe_norm_sq(xv) * M
@@ -239,7 +240,8 @@ def vector_image_bound(alpha, fam: OperatorFamily, x, M: float) -> tuple[float, 
 
 
 def bilinear_bound(alpha, fam: OperatorFamily, x, y, M: float) -> tuple[float, float, bool]:
-    """Check |sum alpha_i (A_i x, y)|^2 <= M ||x||^2 ||y||^2."""
+    """Check |sum alpha_i (A_i x, y)|^2 <= M ||x||^2 ||y||^2 for one pair; kept
+    for bench/ until ROADMAP item 18, as probe_checks is the API."""
     w = as_weights(alpha, fam.count)
     xv = _probe_vector(x, fam.dim, "x")
     yv = _probe_vector(y, fam.dim, "y")
@@ -249,10 +251,11 @@ def bilinear_bound(alpha, fam: OperatorFamily, x, y, M: float) -> tuple[float, f
 
 
 def probe_checks(alpha, fam: OperatorFamily, probes, M: float) -> list[tuple[float, float, bool]]:
-    """vector_image_bound(x_k) for each probe x_k, then bilinear_bound(x_k,
-    x_{(k+1) mod K}), with the same bits, by array operations on the probe
-    stack but for each image's einsum and |(S x, y)|^2's abs and power, whose
-    bits batching moves; a bad list is walked to name its first bad probe."""
+    """(lhs, rhs, holds) of ||S x_k||^2 <= M ||x_k||^2 for each probe x_k, then
+    of |(S x_k, y_k)|^2 <= M ||x_k||^2 ||y_k||^2 with y_k = x_{(k+1) mod K}, for
+    S = sum alpha_i A_i, by array operations on the probe stack but for each
+    image's einsum and |(S x, y)|^2's abs and power, whose bits batching
+    would move; a bad list is walked to name its first bad probe."""
     w = as_weights(alpha, fam.count)
     try:
         xs = finite_array(probes, 2, "probes")

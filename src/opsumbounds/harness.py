@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -36,11 +37,6 @@ _PROBE_SALT = 0x50B1
 _CHECK_NAMES: dict = {}  # verify's check names by (grid, catalog length), which fix them
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True is no dimension, count or seed
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class InstanceSpec:
     kind: str
@@ -51,12 +47,17 @@ class InstanceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}; expected one of {', '.join(KINDS)}")
-        if not (_is_int(self.dim) and self.dim >= 1):
-            raise InvalidSpec(f"dim must be a positive integer, got {self.dim!r}")
-        if not (_is_int(self.count) and self.count >= 1):
-            raise InvalidSpec(f"count must be a positive integer, got {self.count!r}")
-        if not _is_int(self.seed):
-            raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
+        # stored as ints, so a spec from numpy integers equals the spec from ints
+        for name, what in (("dim", "a positive integer"), ("count", "a positive integer"), ("seed", "an integer")):
+            value = getattr(self, name)
+            try:
+                # bool is an int subclass, but True is no dimension, count or seed
+                index = None if isinstance(value, bool) else operator.index(value)
+            except TypeError:
+                index = None
+            if index is None or (index < 1 and name != "seed"):
+                raise InvalidSpec(f"{name} must be {what}, got {value!r}")
+            object.__setattr__(self, name, index)
         if self.kind in ("BlockOrthogonal", "OrthonormalRankOne") and self.dim < self.count:
             raise InvalidSpec(f"{self.kind} needs dim >= count, got dim={self.dim}, count={self.count}")
 

@@ -45,8 +45,8 @@ def pow2_scale(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_norm(m) -> SpectralNormResult:
-    """Largest singular value of one matrix, as spectral_norms computes
-    it; LAPACK counts no iterations, so iterations is 0."""
+    """Largest singular value of one matrix, with iterations 0; kept for
+    bench/ until ROADMAP item 18, as spectral_norms is the API."""
     value = float(spectral_norms(finite_array(m, 2, "matrix")[None])[0])
     return SpectralNormResult(value=value, iterations=0)
 

@@ -36,10 +36,10 @@ class VectorFamily:
 
     def __init__(self, vectors):
         stack = finite_array(vectors, 2, "vectors")
-        # each vector is divided by a power of two near its largest part
-        # first, so the squares can neither overflow nor underflow
-        unit, self._exps = linalg.pow2_scale(stack)
-        self._unit_norms = np.sqrt((np.abs(unit) ** 2).sum(axis=1))
+        # the rows u_i of _scaled: y_i = 2^e_i u_i with 2^e_i near y_i's
+        # largest part, so no square of u_i can overflow or underflow
+        self._scaled, self._exps = linalg.pow2_scale(stack)
+        self._unit_norms = np.sqrt((np.abs(self._scaled) ** 2).sum(axis=1))
         norms = np.ldexp(self._unit_norms, self._exps)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
@@ -48,10 +48,6 @@ class VectorFamily:
         self.count = int(stack.shape[0])
         self.dim = int(stack.shape[1])
         self.norms = norms
-
-    def _unit(self) -> np.ndarray:
-        # each vector over 2^e, the power of two that pow2_scale chose
-        return np.ldexp(self.vectors.view(np.float64), -self._exps[:, None]).view(np.complex128)
 
     @cached_property
     def cross(self) -> np.ndarray:
@@ -62,7 +58,7 @@ class VectorFamily:
     def _unit_r_factor(self) -> np.ndarray:
         # R of the power-of-two-scaled vectors over their own norms: a
         # subnormal norm has no finite reciprocal
-        return np.linalg.qr(self._unit().T, mode="r") / self._unit_norms
+        return np.linalg.qr(self._scaled.T, mode="r") / self._unit_norms
 
     def weighted_sum_norm(self, alpha) -> float:
         """||sum alpha_i A_i|| as ||R D R^H||, with R the R factor of
@@ -81,8 +77,7 @@ def rank_one_family(vf: VectorFamily) -> OperatorFamily:
     """Materialize A_i = y_i y_i^H / ||y_i|| as explicit matrices, as
     2^e u_i u_i^H / ||u_i|| with y_i = 2^e u_i: a tiny y_i meets no square
     that underflows, nor numpy's complex division by a subnormal (nan)."""
-    unit = vf._unit()
-    ops = np.einsum("ia,ib->iab", unit, unit.conj()) / vf._unit_norms[:, None, None]
+    ops = np.einsum("ia,ib->iab", vf._scaled, vf._scaled.conj()) / vf._unit_norms[:, None, None]
     return OperatorFamily(np.ldexp(ops.view(np.float64), vf._exps[:, None, None]).view(np.complex128))
 
 

@@ -10,6 +10,10 @@ sharper witness than the left side: an entry whose formula runs low can
 still sit above ||S||^2, but fall below E.  E is summed here with
 math.fsum from the family's norm data, not from bounds.py's aggregates.
 
+E cannot catch an entry that runs low yet stays above E, so on the same
+cases the l1_cross, l2_cross and power_mean_cross entries are also
+checked against their formulas, evaluated in 40-digit decimal arithmetic.
+
 The inputs on which the catalog is wrong today, far from unit scale or
 at extreme grid exponents, are strict xfails naming ROADMAP item 1, so
 the defect shows in every test summary and its fix turns each mark into
@@ -17,6 +21,7 @@ a failure until the mark is removed.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -49,6 +54,56 @@ def test_every_entry_is_at_least_the_termwise_expansion(kind, n):
             floor = _expansion(w, fam) * (1.0 - 8.0 * EPS)
             below += [(seed, grid, r.name, r.exponents, r.bound, floor) for r in reports if not r.bound >= floor]
     assert not below, f"{len(below)} entries below E (1 - 8 eps), the first {below[0]}"
+
+
+CROSS_NAMES = ("l1_cross", "l2_cross", "power_mean_cross")
+
+
+def _exact_cross_entries(w, fam, grid) -> dict:
+    """l1_cross, l2_cross and each power_mean_cross entry by (name, exponents),
+    in 40-digit decimal arithmetic from the floats |w|, fam.norms and fam.cross:
+
+    power_mean_cross(r, s) = sum_i |a_i|^2 (max_i ||A_i||^2 + n^(2/r - 1) (sum_{i != j} c_ij^s)^(1/s))
+
+    for each grid entry r <= 2 and its conjugate s, l2_cross is the r = s = 2
+    case, and l1_cross = sum_i |a_i|^2 (max_i ||A_i||^2 + sum_{i != j} c_ij).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        wa = [Decimal(x) for x in np.abs(w).tolist()]
+        top = max(Decimal(x) for x in fam.norms.tolist()) ** 2
+        cross = fam.cross.tolist()
+        n = len(wa)
+        off = [Decimal(cross[i][j]) for i in range(n) for j in range(n) if i != j]
+        weight = sum(x * x for x in wa)
+
+        def power_mean(r, s):
+            return weight * (top + Decimal(n) ** (2 / r - 1) * sum(c**s for c in off) ** (1 / s))
+
+        exact = {("l1_cross", ""): weight * (top + sum(off)),
+                 ("l2_cross", "r=2,s=2"): power_mean(Decimal(2), Decimal(2))}
+        for p in grid:
+            if p <= 2.0:
+                r = Decimal(p)
+                exact["power_mean_cross", f"r={p:g},s={p / (p - 1.0):g}"] = power_mean(r, r / (r - 1))
+        return exact
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_cross_entries_match_their_exact_formulas(kind, n):
+    off = []
+    for seed in range(10):
+        w, fam, _ = generate(InstanceSpec(kind, max(n, 6), n, seed))
+        for grid in (DEFAULT_GRID, (1.1, 7.0)):
+            got = {(r.name, r.exponents): r.bound for r in catalog_reports(w, fam, grid) if r.name in CROSS_NAMES}
+            exact = _exact_cross_entries(w, fam, grid)
+            assert got.keys() == exact.keys()
+            for key, want in exact.items():
+                err = float(abs(Decimal(got[key]) - want) / want)
+                if not err <= 1e-13:
+                    off.append((seed, grid, *key, got[key], float(want), err))
+    assert not off, f"{len(off)} entries off their exact value by more than 1e-13 relative, the first {off[0]}"
 
 
 def _wrong(reports) -> int:

@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opsumbounds
 from opsumbounds.bounds import catalog_reports, tightest_report
 from opsumbounds.cbs import OperatorFamily
 from opsumbounds.cli import _json, main
@@ -401,6 +406,25 @@ def test_sweep_rejects_a_bad_grid_even_with_no_instance(tmp_path, capsys):
         assert main(["sweep", "--dim", "4", "--count", "3", "--seed", "5:5", "--grid", grid, "--out", str(out)]) == 2
         assert "grid" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _run_module(args, cwd):
+    """python -m opsumbounds args, with the package found on PYTHONPATH from its src directory."""
+    src = str(Path(opsumbounds.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "opsumbounds", *args], cwd=cwd, env=env, capture_output=True)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    args = ["verify", "--kind", "GaussianDense", "--dim", "4", "--count", "3", "--seed", "1"]
+    done = _run_module(args, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert main(args) == 0
+    assert done.stdout == capsys.readouterr().out.encode("utf-8")
+    done = _run_module(["sweep", "--dim", "4", "--count", "3", "--seed", "5:5", "--grid", ",", "--out", "x.csv"],
+                       tmp_path)
+    assert done.returncode == 2 and b"grid" in done.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_rejects_bad_arguments(tmp_path, capsys):

@@ -148,6 +148,27 @@ def test_spec_validation():
         InstanceSpec("BlockOrthogonal", 2, 3, 0)
     with pytest.raises(InvalidSpec):
         InstanceSpec("OrthonormalRankOne", 2, 3, 0)
+    # a numpy integer is an integer, but a numpy float or bool is not
+    for fields, message in (((np.float64(4.0), 2, 0), "dim must be a positive integer, got np.float64(4.0)"),
+                            ((3, np.int32(0), 0), "count must be a positive integer, got np.int32(0)"),
+                            ((3, 2, np.True_), "seed must be an integer, got np.True_"),
+                            ((3, 2, 1.0), "seed must be an integer, got 1.0"),
+                            ((-1, 2, 0), "dim must be a positive integer, got -1")):
+        with pytest.raises(InvalidSpec) as info:
+            InstanceSpec("GaussianDense", *fields)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_spec_from_numpy_integers_is_the_spec_from_ints(kind):
+    spec = InstanceSpec(kind, np.int64(6), np.int32(4), np.int64(2))
+    assert spec == InstanceSpec(kind, 6, 4, 2)
+    assert [type(spec.dim), type(spec.count), type(spec.seed)] == [int, int, int]
+    got, want = generate(spec), generate(InstanceSpec(kind, 6, 4, 2))
+    assert got[0].tobytes() == want[0].tobytes() and got[1].ops.tobytes() == want[1].ops.tobytes()
+    assert (got[2] is None) == (want[2] is None)
+    if got[2] is not None:
+        assert got[2].vectors.tobytes() == want[2].vectors.tobytes()
 
 
 def test_verify_instance_holds_and_names():

@@ -137,6 +137,26 @@ def test_rank_one_families_are_materialized_only_by_the_harness():
     assert callable(vectors.rank_one_family)
 
 
+def test_one_probe_evaluator_and_one_norm_entry_point():
+    # the scalar probe pair and the one-matrix norm stay in their modules
+    # for bench/ until ROADMAP item 18, but the package exports one of each
+    gone = {"vector_image_bound", "bilinear_bound", "spectral_norm", "SpectralNormResult"}
+    assert not gone & set(opsumbounds.__all__)
+    assert not [name for name in gone if hasattr(opsumbounds, name)]
+    assert {"probe_checks", "spectral_norms"} <= set(opsumbounds.__all__)
+    assert all(map(callable, (bounds.vector_image_bound, bounds.bilinear_bound, linalg.spectral_norm)))
+
+
+def test_vector_families_scale_their_vectors_once():
+    assert not hasattr(vectors.VectorFamily, "_unit")
+    tree = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert [ast.unparse(node) for node in calls if node.func.attr == "pow2_scale"] == ["linalg.pow2_scale(stack)"]
+    # np.ldexp only multiplies back: no argument negates an exponent
+    ldexps = [node for node in calls if node.func.attr == "ldexp"]
+    assert ldexps and not [node for node in ldexps for arg in ast.walk(node) if isinstance(arg, ast.USub)]
+
+
 def _imported_siblings(path: Path) -> set:
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = set()
